@@ -214,9 +214,10 @@ def _cmd_synth(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pc, truth = scene.generate_grid_cloud(spec, rig)
+    disparity = scene.render_disparity(spec, rig)
     cloudmod.write_ply(out / "cloud.ply", pc)
-    stereo.write_disparity(out / "disparity.txt", truth.disparity)
-    left, right = scene.synth_stereo_pair(spec, rig)
+    stereo.write_disparity(out / "disparity.txt", disparity)
+    left, right = scene.synth_stereo_pair(spec, disparity)
     pnm.write_pgm(out / "left.pgm", left)
     pnm.write_pgm(out / "right.pgm", right)
     with open(out / "labels.txt", "w") as f:
@@ -352,7 +353,7 @@ def main(argv=None):
     except INPUT_ERRORS as e:
         print(f"{e.module}: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except FileNotFoundError as e:
+    except (FileNotFoundError, IsADirectoryError) as e:
         print(f"input: {e}", file=sys.stderr)
         return 1
     except RebarTieError as e:

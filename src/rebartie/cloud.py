@@ -104,6 +104,8 @@ def read_ply(path, frame="camera"):
                 count = int(parts[2])
             except (IndexError, ValueError):
                 raise ParseError(i, "bad element vertex line") from None
+            if count < 0:
+                raise ParseError(i, f"negative vertex count {count}")
         elif parts == ["end_header"]:
             body_start = i
             break

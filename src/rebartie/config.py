@@ -118,4 +118,7 @@ def load_pipeline_config(path=None, overrides=None):
                 kwargs[key] = str(val)
         except ValueError:
             raise ParseError(0, f"bad value for {key}: {val!r}") from None
-    return PipelineConfig(**kwargs)
+    try:
+        return PipelineConfig(**kwargs)
+    except ValueError as e:
+        raise ParseError(0, f"bad config: {e}") from None

@@ -96,14 +96,14 @@ def ransac_dominant_plane(cloud, params):
     return refit, inliers
 
 
-def kmeans_split_offsets(offsets, seed=None):
+def kmeans_split_offsets(offsets):
     """Optimal two-cluster split of scalar values, plus the cluster means.
 
     Returns ((low_indices, high_indices), (low_mean, high_mean)). The split
     minimizes the within-cluster sum of squares over all sorted-threshold
-    partitions, which is the exact two-means optimum in one dimension; it
-    needs no random restarts, so ``seed`` is accepted only for interface
-    stability. Raises DegenerateInput when all values are equal.
+    partitions, which is the exact two-means optimum in one dimension, so it
+    needs no random restarts. Raises DegenerateInput when all values are
+    equal.
     """
     v = np.asarray(offsets, dtype=float).ravel()
     if v.size < 2:
@@ -139,7 +139,7 @@ def detect_parallel_planes(cloud, params):
     plane, _ = ransac_dominant_plane(cloud, params)
     normal = plane.normal
     offsets = cloud.points @ normal
-    (low, high), (mean_low, mean_high) = kmeans_split_offsets(offsets, params.seed)
+    (low, high), (mean_low, mean_high) = kmeans_split_offsets(offsets)
     z_low = cloud.points[low, 2].mean()
     z_high = cloud.points[high, 2].mean()
     if z_low <= z_high:

@@ -7,6 +7,7 @@ Everything (clouds, rendered disparity, stereo pairs, labels) is
 deterministic from GridSpec.seed.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -93,7 +94,6 @@ class GroundTruth:
     nodes: np.ndarray  # (rows*cols, 3) camera frame
     planes: ParallelPlanePair
     labels: list = field(default_factory=list)
-    disparity: np.ndarray | None = None
 
 
 def _rods(spec):
@@ -129,15 +129,23 @@ def _grid_nodes(spec):
     return np.stack([gx.ravel(), np.full(gx.size, mid), gz.ravel()], axis=1)
 
 
-def ground_truth_planes(spec):
-    """The two rod-axis planes in camera frame, near/far ordered by depth."""
+def _near_far_layers(spec):
+    """Layer indices (near, far), ordered by the camera depth of each layer's
+    axis plane at the grid origin; layer B counts as near on a tie."""
     pose = spec.grid_pose
-    plane_a = transform_plane(pose, Plane(np.array([0.0, 1.0, 0.0]), 0.0))
-    plane_b = transform_plane(pose, Plane(np.array([0.0, 1.0, 0.0]), spec.layer_gap))
     z_a = transform_point(pose, np.array([0.0, 0.0, 0.0]))[2]
     z_b = transform_point(pose, np.array([0.0, spec.layer_gap, 0.0]))[2]
-    near, far = (plane_b, plane_a) if z_b <= z_a else (plane_a, plane_b)
-    return near, far
+    return (1, 0) if z_b <= z_a else (0, 1)
+
+
+def ground_truth_planes(spec):
+    """The two rod-axis planes in camera frame, near/far ordered by depth."""
+    planes = [
+        transform_plane(spec.grid_pose, Plane(np.array([0.0, 1.0, 0.0]), y))
+        for y in (0.0, spec.layer_gap)
+    ]
+    near, far = _near_far_layers(spec)
+    return planes[near], planes[far]
 
 
 def generate_grid_cloud(spec, rig=None):
@@ -145,8 +153,7 @@ def generate_grid_cloud(spec, rig=None):
 
     Surface points carry Gaussian noise along their normals; outliers are
     uniform in a 2x-expanded bounding box. The ground truth holds the node
-    positions, the rod-axis plane pair, projected labels, and the rendered
-    disparity map.
+    positions, the rod-axis plane pair and projected labels.
     """
     if rig is None:
         rig = default_rig()
@@ -191,8 +198,7 @@ def generate_grid_cloud(spec, rig=None):
     plane_y = (0.0, spec.layer_gap)
     counts = []
     rms = []
-    order = (1, 0) if _near_layer_is_b(spec) else (0, 1)
-    for layer in order:
+    for layer in _near_far_layers(spec):
         res = surface[layer_of == layer, 1] - plane_y[layer]
         counts.append(int(res.size))
         rms.append(float(np.sqrt(np.mean(res**2))))
@@ -207,22 +213,38 @@ def generate_grid_cloud(spec, rig=None):
     nodes = transform_point(pose, _grid_nodes(spec))
     truth = GroundTruth(nodes=nodes, planes=pair)
     truth.labels = emit_ground_truth_boxes(truth, rig.camera)
-    truth.disparity = render_disparity(spec, rig)
     return cloud, truth
 
 
-def _near_layer_is_b(spec):
-    pose = spec.grid_pose
-    z_a = transform_point(pose, np.array([0.0, 0.0, 0.0]))[2]
-    z_b = transform_point(pose, np.array([0.0, spec.layer_gap, 0.0]))[2]
-    return z_b <= z_a
+def _rod_pixel_box(spec, cam, origin, axis, length):
+    """(rows, cols) slices holding every pixel whose ray can hit the rod, or
+    None when the rod projects off the image.
+
+    The rod lies inside its axis segment padded by rod_radius on every grid
+    axis. When all 8 corners of that box are in front of the camera, the
+    box projects inside the convex hull of the projected corners, padded
+    here by 1 px for rounding. A box reaching z <= 0 gets the full frame.
+    """
+    ends = np.stack([origin, origin + length * axis])
+    lo = ends.min(axis=0) - spec.rod_radius
+    hi = ends.max(axis=0) + spec.rod_radius
+    corners = transform_point(spec.grid_pose, np.array(list(itertools.product(*zip(lo, hi)))))
+    if np.any(corners[:, 2] <= 0):
+        return slice(0, cam.height), slice(0, cam.width)
+    uv = project(cam, corners)
+    u0, v0 = np.maximum(np.floor(uv.min(axis=0)) - 1, 0).astype(int)
+    u1, v1 = np.minimum(np.ceil(uv.max(axis=0)) + 2, (cam.width, cam.height)).astype(int)
+    if u0 >= u1 or v0 >= v1:
+        return None
+    return slice(v0, v1), slice(u0, u1)
 
 
 def render_disparity(spec, rig):
     """Analytic z-buffer render of both rod layers to a disparity map.
 
-    Each pixel's ray is intersected with every finite cylinder; disparity is
-    fx * baseline / Z at the nearest hit, -1 where nothing is hit.
+    Each finite cylinder is intersected with the rays of the pixels inside
+    its projected bounding box; disparity is fx * baseline / Z at the
+    nearest hit, -1 where nothing is hit.
     """
     cam = rig.camera
     pose = spec.grid_pose
@@ -243,10 +265,16 @@ def render_disparity(spec, rig):
     zbuf = np.full((cam.height, cam.width), np.inf)
     r2 = spec.rod_radius**2
     for origin, axis, length, _layer in _rods(spec):
+        box = _rod_pixel_box(spec, cam, origin, axis, length)
+        if box is None:
+            continue
+        # a slice of the full-frame directions, so every pixel's arithmetic
+        # is the same whatever box it falls in
+        rod_dirs = dirs_g[box]
         oc = origin_g - origin
-        d_axial = dirs_g @ axis
+        d_axial = rod_dirs @ axis
         o_axial = float(oc @ axis)
-        d_perp = dirs_g - d_axial[..., None] * axis
+        d_perp = rod_dirs - d_axial[..., None] * axis
         o_perp = oc - o_axial * axis
         a = np.einsum("...i,...i->...", d_perp, d_perp)
         b = 2.0 * (d_perp @ o_perp)
@@ -257,10 +285,12 @@ def render_disparity(spec, rig):
         with np.errstate(divide="ignore", invalid="ignore"):
             t1 = (-b - sq) / (2.0 * a)
             t2 = (-b + sq) / (2.0 * a)
+        z = zbuf[box]
         for t in (t1, t2):
             s_axial = o_axial + t * d_axial
             ok = hit & (t > 1e-9) & (s_axial >= 0.0) & (s_axial <= length)
-            zbuf = np.where(ok & (t < zbuf), t, zbuf)
+            z = np.where(ok & (t < z), t, z)
+        zbuf[box] = z
 
     hit = np.isfinite(zbuf)
     disp = np.full(zbuf.shape, -1.0)
@@ -268,18 +298,17 @@ def render_disparity(spec, rig):
     return disp
 
 
-def synth_stereo_pair(spec, rig):
-    """Textured stereo pair consistent with the rendered disparity.
+def synth_stereo_pair(spec, disparity):
+    """Textured stereo pair consistent with a rendered disparity map.
 
-    The left view overlays seeded high-frequency texture on the rendered
-    scene; the right view is the left warped by the disparity, over a static
-    background plane at a fixed integer disparity, with true occlusions
-    showing that background texture.
+    ``disparity`` is render_disparity(spec, rig) for the rig the pair is
+    for; spec supplies the texture seed. The left view overlays seeded
+    high-frequency texture on the rendered scene; the right view is the left
+    warped by the disparity, over a static background plane at a fixed
+    integer disparity, with true occlusions showing that background texture.
     """
-    cam = rig.camera
-    h, w = cam.height, cam.width
-    disp = render_disparity(spec, rig)
-    valid = disp >= 0
+    h, w = disparity.shape
+    valid = disparity >= 0
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x57E2E0]))
     bg = rng.integers(40, 200, (h, w + _BG_DISPARITY), dtype=np.int64)
@@ -288,9 +317,9 @@ def synth_stereo_pair(spec, rig):
     # mild depth shading under the texture keeps the render recognizable
     shade = np.zeros((h, w))
     if valid.any():
-        dmin, dmax = disp[valid].min(), disp[valid].max()
+        dmin, dmax = disparity[valid].min(), disparity[valid].max()
         span = max(dmax - dmin, 1e-9)
-        shade[valid] = (disp[valid] - dmin) / span
+        shade[valid] = (disparity[valid] - dmin) / span
     # positive disparity: content sits further left in the right view, so
     # left reads the low columns of the wide background strip and right the
     # high ones
@@ -303,7 +332,7 @@ def synth_stereo_pair(spec, rig):
     right = bg[:, _BG_DISPARITY:].astype(np.uint8).copy()
     # ...and scene pixels splat to u - d with the nearest surface winning
     vs, us = np.nonzero(valid)
-    ds = disp[vs, us]
+    ds = disparity[vs, us]
     ut = np.floor(us - ds + 0.5).astype(int)
     keep = (ut >= 0) & (ut < w)
     vs, us, ut, ds = vs[keep], us[keep], ut[keep], ds[keep]
@@ -348,7 +377,9 @@ def write_grid_spec(path, spec):
             f.write(f"{name} = {getattr(spec, name)}\n")
         pose = spec.grid_pose
         m = np.hstack([pose.rotation, pose.translation[:, None]])
-        f.write("grid_pose = " + " ".join(f"{v:.9g}" for v in m.ravel()) + "\n")
+        # repr is the shortest text that reads back as the same float, so the
+        # pose passes read_grid_spec's orthonormality check as it did here
+        f.write("grid_pose = " + " ".join(repr(float(v)) for v in m.ravel()) + "\n")
 
 
 def read_grid_spec(path):
@@ -380,5 +411,11 @@ def read_grid_spec(path):
             m = np.array([float(v) for v in parts]).reshape(3, 4)
         except ValueError:
             raise ParseError(lineno, "non-numeric grid_pose") from None
-        kwargs["grid_pose"] = RigidTransform(m[:, :3], m[:, 3], "grid", "camera")
-    return GridSpec(**kwargs)
+        try:
+            kwargs["grid_pose"] = RigidTransform(m[:, :3], m[:, 3], "grid", "camera")
+        except ValueError as e:
+            raise ParseError(lineno, f"bad grid_pose: {e}") from None
+    try:
+        return GridSpec(**kwargs)
+    except ValueError as e:
+        raise ParseError(0, f"bad scene: {e}") from None

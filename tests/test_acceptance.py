@@ -124,11 +124,21 @@ def test_criterion_2_kmeans_matches_brute_force():
             assert set(high.tolist()) == set(order[best_i:].tolist()), f"trial {trial}"
 
 
-def _brute_sor_survivors(points, k, sigma_mult):
-    dists = np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
-    np.fill_diagonal(dists, np.inf)
-    knn = np.sort(np.partition(dists, k - 1, axis=1)[:, :k], axis=1)
-    mean_dists = knn.mean(axis=1)
+def _brute_sor_survivors(points, k, sigma_mult, block=64):
+    # every pairwise distance, a block of rows at a time so that no n x n
+    # matrix is held; each is sqrt(dx^2 + dy^2 + dz^2) summed in that order,
+    # as np.linalg.norm over the last axis computes it
+    cols = points.T.copy()
+    mean_dists = np.empty(len(points))
+    for start in range(0, len(points), block):
+        rows = points[start:start + block]
+        sq = (rows[:, 0, None] - cols[0]) ** 2
+        sq += (rows[:, 1, None] - cols[1]) ** 2
+        sq += (rows[:, 2, None] - cols[2]) ** 2
+        dists = np.sqrt(sq)
+        dists[np.arange(len(rows)), np.arange(start, start + len(rows))] = np.inf
+        knn = np.sort(np.partition(dists, k - 1, axis=1)[:, :k], axis=1)
+        mean_dists[start:start + block] = knn.mean(axis=1)
     return np.flatnonzero(mean_dists <= mean_dists.mean() + sigma_mult * mean_dists.std())
 
 
@@ -164,8 +174,8 @@ def test_criterion_3_conditioning_matches_oracles():
 def test_criterion_4_stereo_accuracy():
     with criterion(4, "stereo >= 90% within 1 px and 0.51 px round trip"):
         spec = GridSpec()
-        left, right = synth_stereo_pair(spec, RIG)
         gt = render_disparity(spec, RIG)
+        left, right = synth_stereo_pair(spec, gt)
         pred = block_match_disparity(left, right, block_radius=2, max_disparity=64)
         gt_valid = gt >= 0
         good = gt_valid & (pred >= 0) & (np.abs(pred - gt) <= 1.0)

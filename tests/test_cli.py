@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rebartie import pnm
+from rebartie import pnm, scene
 from rebartie.cli import main
 from rebartie.cloud import PointCloud, write_ply
 from rebartie.config import PipelineConfig, load_pipeline_config
@@ -45,6 +45,25 @@ class TestSynth:
         out = tmp_path / "b2"
         assert main(["synth", str(spec), "--out", str(out)]) == 0
         assert len((out / "gt_nodes.txt").read_text().splitlines()) == 12
+
+    def test_renders_once(self, tmp_path, monkeypatch):
+        calls = []
+        render = scene.render_disparity
+
+        def counted(*args):
+            calls.append(args)
+            return render(*args)
+
+        monkeypatch.setattr(scene, "render_disparity", counted)
+        assert main(["synth", "--out", str(tmp_path / "b")]) == 0
+        assert len(calls) == 1
+
+    def test_non_orthonormal_pose_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("grid_pose = 1 0 0 0  0 1 0 0  0 0 1.001 1.2\n")
+        rc = main(["synth", str(spec), "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert "ParseError: line 1: bad grid_pose" in capsys.readouterr().err
 
 
 class TestFullChain:
@@ -144,6 +163,29 @@ class TestErrors:
         ])
         assert rc == 1
         assert "ParseError" in capsys.readouterr().err
+
+    def test_invalid_config_value_exit_1(self, tmp_path, bundle, capsys):
+        rc = main([
+            "cloud", str(bundle / "disparity.txt"), "--out", str(tmp_path / "c.ply"),
+            "--window", "4",
+        ])
+        assert rc == 1
+        assert "ParseError: line 0: bad config: window must be odd" in capsys.readouterr().err
+
+    def test_directory_as_input_exit_1(self, tmp_path, capsys):
+        rc = main(["planes", str(tmp_path), "--out", str(tmp_path / "p.txt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("input: ")
+
+    def test_negative_vertex_count_exit_1(self, tmp_path, capsys):
+        ply = tmp_path / "bad.ply"
+        ply.write_text(
+            "ply\nformat ascii 1.0\nelement vertex -1\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+        )
+        rc = main(["planes", str(ply), "--out", str(tmp_path / "p.txt")])
+        assert rc == 1
+        assert "ParseError: line 3: negative vertex count" in capsys.readouterr().err
 
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

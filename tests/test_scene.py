@@ -2,12 +2,22 @@ import numpy as np
 import pytest
 
 from rebartie.cloud import statistical_outlier_removal, voxel_downsample
-from rebartie.geometry import plane_signed_distance, project, transform_point
+from rebartie.errors import ParseError
+from rebartie.geometry import (
+    CameraModel,
+    RigidTransform,
+    StereoRig,
+    plane_signed_distance,
+    project,
+    transform_point,
+)
 from rebartie.metrics import compute_sai, match_nodes
 from rebartie.nodes import locate_nodes, parse_yolo_labels
 from rebartie.planes import RansacParams, detect_parallel_planes
 from rebartie.scene import (
     GridSpec,
+    _rod_pixel_box,
+    _rods,
     default_rig,
     emit_ground_truth_labels,
     generate_grid_cloud,
@@ -27,6 +37,67 @@ def small_spec(**kwargs):
     kwargs.setdefault("rows", 3)
     kwargs.setdefault("cols", 3)
     return GridSpec(**kwargs)
+
+
+def tilted_spec(seed, max_tilt_deg=30.0):
+    """A seeded grid whose default pose is tilted by up to max_tilt_deg
+    about a random axis through the grid center."""
+    rng = np.random.default_rng([seed, 30])
+    rows, cols = (int(v) for v in rng.integers(2, 7, 2))
+    base = GridSpec(rows=rows, cols=cols).grid_pose
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = np.radians(rng.uniform(0.0, max_tilt_deg))
+    k = np.array([
+        [0.0, -axis[2], axis[1]],
+        [axis[2], 0.0, -axis[0]],
+        [-axis[1], axis[0], 0.0],
+    ])
+    tilt = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * k @ k
+    pivot = np.array([0.0, 0.0, 1.2])
+    pose = RigidTransform(
+        tilt @ base.rotation, pivot + tilt @ (base.translation - pivot), "grid", "camera"
+    )
+    return GridSpec(rows=rows, cols=cols, grid_pose=pose, seed=seed)
+
+
+def full_frame_render(spec, rig):
+    """Reference for render_disparity: every pixel's ray against every rod."""
+    cam = rig.camera
+    pose = spec.grid_pose
+    inv_rot = pose.rotation.T
+    uu, vv = np.meshgrid(np.arange(cam.width), np.arange(cam.height))
+    dirs = np.stack(
+        [(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu, float)],
+        axis=-1,
+    )
+    origin_g = inv_rot @ (-pose.translation)
+    dirs_g = dirs @ pose.rotation
+    zbuf = np.full((cam.height, cam.width), np.inf)
+    r2 = spec.rod_radius**2
+    for origin, axis, length, _layer in _rods(spec):
+        oc = origin_g - origin
+        d_axial = dirs_g @ axis
+        o_axial = float(oc @ axis)
+        d_perp = dirs_g - d_axial[..., None] * axis
+        o_perp = oc - o_axial * axis
+        a = np.einsum("...i,...i->...", d_perp, d_perp)
+        b = 2.0 * (d_perp @ o_perp)
+        c = float(o_perp @ o_perp) - r2
+        disc = b * b - 4.0 * a * c
+        hit = (disc >= 0) & (a > 0)
+        sq = np.sqrt(np.where(hit, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t1 = (-b - sq) / (2.0 * a)
+            t2 = (-b + sq) / (2.0 * a)
+        for t in (t1, t2):
+            s_axial = o_axial + t * d_axial
+            ok = hit & (t > 1e-9) & (s_axial >= 0.0) & (s_axial <= length)
+            zbuf = np.where(ok & (t < zbuf), t, zbuf)
+    hit = np.isfinite(zbuf)
+    disp = np.full(zbuf.shape, -1.0)
+    disp[hit] = cam.fx * rig.baseline / zbuf[hit]
+    return disp
 
 
 class TestGenerateGridCloud:
@@ -112,8 +183,6 @@ class TestRenderDisparity:
         pts_g = transform_point(invert(pose), cloud.points)
         # distance to the nearest rod axis must equal the radius
         best = np.full(len(cloud), np.inf)
-        from rebartie.scene import _rods
-
         for origin, axis, length, _ in _rods(spec):
             rel = pts_g - origin
             axial = rel @ axis
@@ -137,25 +206,70 @@ class TestRenderDisparity:
         assert (z <= z_axis + 1e-9).all()
 
 
+# half the default resolution keeps the full-frame reference cheap
+HALF_RIG = StereoRig(
+    CameraModel(fx=350.0, fy=350.0, cx=320.0, cy=180.0, width=640, height=360),
+    baseline=0.06,
+)
+
+
+class TestClippedRenderMatchesFullFrame:
+    def assert_identical(self, spec, rig):
+        expected = full_frame_render(spec, rig)
+        assert (expected >= 0).any()
+        assert np.array_equal(render_disparity(spec, rig), expected)
+
+    def test_default_scene(self):
+        self.assert_identical(GridSpec(), RIG)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tilted_poses(self, seed):
+        self.assert_identical(tilted_spec(seed), HALF_RIG)
+
+    def test_grid_partly_outside_image(self):
+        pose = GridSpec().grid_pose
+        shifted = RigidTransform(
+            pose.rotation, pose.translation + [0.7, -0.3, 0.0], "grid", "camera"
+        )
+        spec = GridSpec(grid_pose=shifted)
+        boxes = [_rod_pixel_box(spec, RIG.camera, *rod[:3]) for rod in _rods(spec)]
+        assert None in boxes  # some rods project wholly off the image
+        self.assert_identical(spec, RIG)
+
+    def test_rod_crossing_camera_plane_uses_full_frame(self):
+        # a floor-like grid below the camera, running from behind it to
+        # 0.6 m ahead: layer B rods cross z = 0
+        pose = RigidTransform(
+            np.diag([1.0, -1.0, -1.0]), np.array([-0.4, 0.15, 0.6]), "grid", "camera"
+        )
+        spec = GridSpec(grid_pose=pose)
+        full = (slice(0, HALF_RIG.camera.height), slice(0, HALF_RIG.camera.width))
+        boxes = [_rod_pixel_box(spec, HALF_RIG.camera, *rod[:3]) for rod in _rods(spec)]
+        assert full in boxes
+        self.assert_identical(spec, HALF_RIG)
+
+
 class TestSynthStereoPair:
     def test_matcher_recovers_rendered_disparity(self):
         spec = GridSpec()
-        left, right = synth_stereo_pair(spec, RIG)
         gt = render_disparity(spec, RIG)
+        left, right = synth_stereo_pair(spec, gt)
         pred = block_match_disparity(left, right, 2, 64)
         gtv = gt >= 0
         good = gtv & (pred >= 0) & (np.abs(pred - gt) <= 1.0)
         assert good.sum() / gtv.sum() >= 0.90
 
     def test_deterministic(self):
-        a_left, a_right = synth_stereo_pair(small_spec(seed=4), RIG)
-        b_left, b_right = synth_stereo_pair(small_spec(seed=4), RIG)
+        disp = render_disparity(small_spec(seed=4), RIG)
+        a_left, a_right = synth_stereo_pair(small_spec(seed=4), disp)
+        b_left, b_right = synth_stereo_pair(small_spec(seed=4), disp)
         assert np.array_equal(a_left, b_left)
         assert np.array_equal(a_right, b_right)
 
     def test_different_seed_changes_texture(self):
-        a, _ = synth_stereo_pair(small_spec(seed=1), RIG)
-        b, _ = synth_stereo_pair(small_spec(seed=2), RIG)
+        disp = render_disparity(small_spec(), RIG)
+        a, _ = synth_stereo_pair(small_spec(seed=1), disp)
+        b, _ = synth_stereo_pair(small_spec(seed=2), disp)
         assert not np.array_equal(a, b)
 
 
@@ -207,6 +321,21 @@ class TestGridSpecIO:
         assert np.allclose(
             back.grid_pose.translation, spec.grid_pose.translation, atol=1e-8
         )
+
+    def test_tilted_poses_round_trip_exactly(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        for seed in range(1000):
+            spec = tilted_spec(seed)
+            write_grid_spec(path, spec)
+            back = read_grid_spec(path).grid_pose
+            assert np.array_equal(back.rotation, spec.grid_pose.rotation), seed
+            assert np.array_equal(back.translation, spec.grid_pose.translation), seed
+
+    def test_invalid_spec_is_parse_error(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("rows = 1\n")
+        with pytest.raises(ParseError, match="rows and cols"):
+            read_grid_spec(path)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
