@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 input error (bad arguments, unreadable or
 malformed files), 2 pipeline error (no plane consensus, layers too close,
-and friends). Error messages are prefixed with the owning stage.
+and friends). Error messages are prefixed with the owning stage, or, for an
+input error, with the subcommand that read the bad input.
 """
 
 import argparse
@@ -115,7 +116,7 @@ def _cmd_mask(args):
 
 def _cmd_nodes(args):
     cfg = _config_from_args(args)
-    boxes = nodes.parse_yolo_labels(open(args.labels).read())
+    boxes = nodes.parse_yolo_labels(Path(args.labels).read_text())
     calib = framesmod.read_calibration_file(args.calibration)
     cam = cfg.camera()
     if cfg.node_depth_source == "disparity":
@@ -198,7 +199,6 @@ def _cmd_sim_robot(args):
     sim = robot.SimRobotConfig(
         workspace_center=(cfg.sim_center_x, cfg.sim_center_y, cfg.sim_center_z),
         workspace_radius=cfg.sim_radius,
-        position_tolerance=cfg.sim_tolerance,
         tie_failure_rate=cfg.sim_failure_rate,
         seed=cfg.sim_seed,
     )
@@ -252,8 +252,8 @@ def _read_points_file(path):
 def _cmd_eval(args):
     cfg = _config_from_args(args)
     if args.labels:
-        pred = nodes.parse_yolo_labels(open(args.predicted).read())
-        gt = nodes.parse_yolo_labels(open(args.ground_truth).read())
+        pred = nodes.parse_yolo_labels(Path(args.predicted).read_text())
+        gt = nodes.parse_yolo_labels(Path(args.ground_truth).read_text())
         acc = metrics.detection_accuracy(pred, gt, cfg.iou_threshold)
         print(f"eval: detection accuracy {acc:.4f} at IoU {cfg.iou_threshold}")
         if args.out:
@@ -351,7 +351,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except INPUT_ERRORS as e:
-        print(f"{e.module}: {type(e).__name__}: {e}", file=sys.stderr)
+        print(f"{args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except (FileNotFoundError, IsADirectoryError) as e:
         print(f"input: {e}", file=sys.stderr)

@@ -1,11 +1,16 @@
 """Point clouds and conditioning: statistical outlier removal, voxel downsampling."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ParseError, TooFewPoints
+
+# Rows formatted per write call: about 100 kB of text at a time, so a
+# large cloud is never held as one string.
+_WRITE_BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -85,8 +90,32 @@ def write_ply(path, cloud):
         f.write(f"element vertex {pts.shape[0]}\n")
         f.write("property float x\nproperty float y\nproperty float z\n")
         f.write("end_header\n")
-        for x, y, z in pts:
-            f.write(f"{x:.6g} {y:.6g} {z:.6g}\n")
+        for start in range(0, pts.shape[0], _WRITE_BLOCK_ROWS):
+            block = pts[start : start + _WRITE_BLOCK_ROWS]
+            f.write(("%.6g %.6g %.6g\n" * len(block)) % tuple(block.ravel().tolist()))
+
+
+def parse_float_rows(lines, shape, parse_loop):
+    """Parse whitespace-separated float rows, one row per line.
+
+    numpy's C parser reads ``lines`` (exactly the rows expected) and its
+    result is kept only when it has ``shape``. Otherwise, or when it fails,
+    ``parse_loop()`` decides: the line-by-line parser that returns the array
+    or raises ParseError naming the offending line. The C parser rejects
+    every token ``float()`` rejects, but also some it accepts (``1_0``), and
+    it skips blank lines; the loop settles both.
+    """
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns when no line holds data; the shape check catches it
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        pass
+    else:
+        if rows.shape == shape:
+            return rows
+    return parse_loop()
 
 
 def read_ply(path, frame="camera"):
@@ -111,16 +140,21 @@ def read_ply(path, frame="camera"):
             break
     if count is None or body_start is None:
         raise ParseError(len(lines), "header missing vertex count or end_header")
-    pts = np.empty((count, 3))
-    for j in range(count):
-        lineno = body_start + 1 + j
-        if lineno > len(lines):
-            raise ParseError(lineno, "fewer vertex lines than declared")
-        parts = lines[lineno - 1].split()
-        if len(parts) != 3:
-            raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
-        try:
-            pts[j] = [float(v) for v in parts]
-        except ValueError:
-            raise ParseError(lineno, "non-numeric coordinate") from None
-    return PointCloud(pts, frame)
+
+    def parse_loop():
+        pts = np.empty((count, 3))
+        for j in range(count):
+            lineno = body_start + 1 + j
+            if lineno > len(lines):
+                raise ParseError(lineno, "fewer vertex lines than declared")
+            parts = lines[lineno - 1].split()
+            if len(parts) != 3:
+                raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
+            try:
+                pts[j] = [float(v) for v in parts]
+            except ValueError:
+                raise ParseError(lineno, "non-numeric coordinate") from None
+        return pts
+
+    body = lines[body_start : body_start + count]
+    return PointCloud(parse_float_rows(body, (count, 3), parse_loop), frame)

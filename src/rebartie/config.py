@@ -4,6 +4,7 @@ Command-line flags override file values; flag names mirror the keys.
 """
 
 from dataclasses import dataclass, fields
+from pathlib import Path
 
 from .errors import ParseError
 from .geometry import CameraModel, StereoRig
@@ -43,15 +44,12 @@ class PipelineConfig:
     image_width: int = 1280
     image_height: int = 720
     baseline: float = 0.06
-    # scene synthesis
-    box_size: float = 0.05
     # robot link
     tie_policy: str = "abort_on_error"
     sim_center_x: float = 0.0
     sim_center_y: float = 0.0
     sim_center_z: float = 0.0
     sim_radius: float = 1.0
-    sim_tolerance: float = 0.001
     sim_failure_rate: float = 0.0
     sim_seed: int = 0
 
@@ -83,7 +81,10 @@ class PipelineConfig:
 
 
 def parse_keyvalues(text):
-    """Parse 'key = value' lines; '#' starts a comment line."""
+    """Parse 'key = value' lines; '#' starts a comment line.
+
+    Returns {key: (line number, value)}; a repeated key keeps its last line.
+    """
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -92,7 +93,7 @@ def parse_keyvalues(text):
         if "=" not in line:
             raise ParseError(lineno, "expected key = value")
         key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
+        values[key.strip()] = (lineno, val.strip())
     return values
 
 
@@ -100,14 +101,15 @@ def load_pipeline_config(path=None, overrides=None):
     """Build a PipelineConfig from an optional file plus explicit overrides."""
     raw = {}
     if path is not None:
-        raw.update(parse_keyvalues(open(path).read()))
+        raw.update(parse_keyvalues(Path(path).read_text()))
     if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+        # a flag has no line: 0
+        raw.update({k: (0, v) for k, v in overrides.items() if v is not None})
     kwargs = {}
     types = {f.name: f.type for f in fields(PipelineConfig)}
-    for key, val in raw.items():
+    for key, (lineno, val) in raw.items():
         if key not in types:
-            raise ParseError(0, f"unknown config key {key!r}")
+            raise ParseError(lineno, f"unknown config key {key!r}")
         ftype = types[key]
         try:
             if ftype in (int, "int"):
@@ -117,7 +119,7 @@ def load_pipeline_config(path=None, overrides=None):
             else:
                 kwargs[key] = str(val)
         except ValueError:
-            raise ParseError(0, f"bad value for {key}: {val!r}") from None
+            raise ParseError(lineno, f"bad value for {key}: {val!r}") from None
     try:
         return PipelineConfig(**kwargs)
     except ValueError as e:

@@ -1,7 +1,9 @@
 """Exception types shared across the pipeline.
 
 Each class carries a ``module`` label naming the pipeline stage that owns the
-failure; the CLI uses it to prefix error messages.
+failure; the CLI uses it to prefix error messages. Input errors
+(``INPUT_ERRORS``) are prefixed instead with the subcommand that read the
+input, since the same file formats feed several stages.
 """
 
 
@@ -59,8 +61,6 @@ class NegativeDepth(RebarTieError):
 
 class ParseError(RebarTieError):
     """Malformed text input; ``line`` is the 1-based offending line number."""
-
-    module = "node-locate"
 
     def __init__(self, line, message):
         super().__init__(f"line {line}: {message}")

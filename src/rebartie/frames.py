@@ -5,6 +5,7 @@ solved here; the calibration file is the boundary with whatever produced it.
 """
 
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -94,7 +95,7 @@ def format_calibration(calib):
 
 
 def read_calibration_file(path):
-    return load_calibration(open(path).read())
+    return load_calibration(Path(path).read_text())
 
 
 def camera_to_base(calib, p):

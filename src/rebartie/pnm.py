@@ -1,5 +1,7 @@
 """Binary PGM (P5) and PPM (P6) readers/writers, maxval 255."""
 
+from pathlib import Path
+
 import numpy as np
 
 from .errors import ParseError
@@ -37,7 +39,7 @@ def _read_header(data, magic):
 
 def read_pgm(path):
     """Read a binary PGM into a uint8 (height, width) array."""
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     width, height, pos = _read_header(data, b"P5")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
     if pixels.size != width * height:
@@ -56,7 +58,7 @@ def write_pgm(path, image):
 
 def read_ppm(path):
     """Read a binary PPM into a uint8 (height, width, 3) array."""
-    data = open(path, "rb").read()
+    data = Path(path).read_bytes()
     width, height, pos = _read_header(data, b"P6")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
     if pixels.size != width * height * 3:

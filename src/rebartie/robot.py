@@ -201,15 +201,12 @@ def execute_sequence(ties, client, policy=ABORT_ON_ERROR):
 class SimRobotConfig:
     workspace_center: tuple = (0.0, 0.0, 0.0)
     workspace_radius: float = 1.0
-    position_tolerance: float = 0.001  # reached-pose slack, reserved
     tie_failure_rate: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         if self.workspace_radius <= 0:
             raise ValueError("workspace_radius must be positive")
-        if self.position_tolerance <= 0:
-            raise ValueError("position_tolerance must be positive")
         if not 0 <= self.tie_failure_rate <= 1:
             raise ValueError("tie_failure_rate must be in [0, 1]")
 

@@ -10,10 +10,12 @@ deterministic from GridSpec.seed.
 import itertools
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud
+from .config import parse_keyvalues
 from .errors import ParseError
 from .geometry import (
     CameraModel,
@@ -383,16 +385,7 @@ def write_grid_spec(path, spec):
 
 
 def read_grid_spec(path):
-    values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(lineno, "expected key = value")
-            key, _, val = line.partition("=")
-            values[key.strip()] = (lineno, val.strip())
+    values = parse_keyvalues(Path(path).read_text())
     kwargs = {}
     for name in _SPEC_FIELDS:
         if name not in values:

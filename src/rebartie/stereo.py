@@ -8,7 +8,7 @@ pixels (-1 in files).
 import numpy as np
 from scipy import ndimage
 
-from .cloud import PointCloud
+from .cloud import PointCloud, parse_float_rows
 from .errors import NonPositiveDisparity, ParseError, SizeMismatch
 
 INVALID = -1.0
@@ -150,15 +150,26 @@ def window_disparity_filter(disp, window=31, delta=3.0):
     return np.where(keep, disp, INVALID)
 
 
+def _row_format(valid):
+    """%-format of one disparity row: "%.6g" per valid pixel, "-1" per invalid."""
+    cuts = [0, *(np.flatnonzero(valid[1:] != valid[:-1]) + 1).tolist(), valid.size]
+    runs = (
+        " ".join(["%.6g" if valid[a] else "-1"] * (b - a))
+        for a, b in zip(cuts, cuts[1:])
+        if b > a
+    )
+    return " ".join(runs) + "\n"
+
+
 def write_disparity(path, disp):
     """Text format: 'width height' line, then one row per line, -1 = invalid."""
     disp = np.asarray(disp, dtype=float)
     h, w = disp.shape
+    valid = ~(disp < 0)  # NaN is written as a value
     with open(path, "w") as f:
         f.write(f"{w} {h}\n")
-        for row in disp:
-            f.write(" ".join("-1" if v < 0 else f"{v:.6g}" for v in row))
-            f.write("\n")
+        for row, ok in zip(disp, valid):
+            f.write(_row_format(ok) % tuple(row[ok].tolist()))
 
 
 def read_disparity(path):
@@ -175,14 +186,19 @@ def read_disparity(path):
         raise ParseError(1, "non-integer dimensions") from None
     if len(lines) < h + 1:
         raise ParseError(len(lines), f"expected {h} data rows")
-    disp = np.empty((h, w))
-    for i in range(h):
-        row = lines[i + 1].split()
-        if len(row) != w:
-            raise ParseError(i + 2, f"expected {w} values, got {len(row)}")
-        try:
-            disp[i] = [float(v) for v in row]
-        except ValueError:
-            raise ParseError(i + 2, "non-numeric disparity") from None
+
+    def parse_loop():
+        disp = np.empty((h, w))
+        for i in range(h):
+            row = lines[i + 1].split()
+            if len(row) != w:
+                raise ParseError(i + 2, f"expected {w} values, got {len(row)}")
+            try:
+                disp[i] = [float(v) for v in row]
+            except ValueError:
+                raise ParseError(i + 2, "non-numeric disparity") from None
+        return disp
+
+    disp = parse_float_rows(lines[1 : h + 1], (h, w), parse_loop)
     disp[disp < 0] = INVALID
     return disp

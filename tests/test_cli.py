@@ -63,7 +63,7 @@ class TestSynth:
         spec.write_text("grid_pose = 1 0 0 0  0 1 0 0  0 0 1.001 1.2\n")
         rc = main(["synth", str(spec), "--out", str(tmp_path / "b")])
         assert rc == 1
-        assert "ParseError: line 1: bad grid_pose" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("synth: ParseError: line 1: bad grid_pose")
 
 
 class TestFullChain:
@@ -162,7 +162,7 @@ class TestErrors:
             "--out", str(tmp_path / "t.txt"),
         ])
         assert rc == 1
-        assert "ParseError" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("nodes: ParseError")
 
     def test_invalid_config_value_exit_1(self, tmp_path, bundle, capsys):
         rc = main([
@@ -170,7 +170,8 @@ class TestErrors:
             "--window", "4",
         ])
         assert rc == 1
-        assert "ParseError: line 0: bad config: window must be odd" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("cloud: ParseError: line 0: bad config: window must be odd")
 
     def test_directory_as_input_exit_1(self, tmp_path, capsys):
         rc = main(["planes", str(tmp_path), "--out", str(tmp_path / "p.txt")])
@@ -185,7 +186,40 @@ class TestErrors:
         )
         rc = main(["planes", str(ply), "--out", str(tmp_path / "p.txt")])
         assert rc == 1
-        assert "ParseError: line 3: negative vertex count" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("planes: ParseError: line 3: negative vertex count")
+
+    @pytest.mark.parametrize("command", ["planes", "mask"])
+    def test_bad_ply_names_the_reading_subcommand(self, tmp_path, command, capsys):
+        ply = tmp_path / "bad.ply"
+        ply.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 1\n"
+            "property float x\nproperty float y\nproperty float z\nend_header\n"
+            "0 zero 0\n"
+        )
+        planes = tmp_path / "planes.txt"
+        planes.write_text("normal 0 0 1\noffset_near 1.19\noffset_far 1.21\nframe camera\n")
+        image = tmp_path / "image.ppm"
+        pnm.write_ppm(image, np.zeros((4, 4, 3), dtype=np.uint8))
+        argv = {
+            "planes": ["planes", str(ply), "--out", str(tmp_path / "p.txt")],
+            "mask": [
+                "mask", str(ply), str(planes), str(image),
+                "--mask-out", str(tmp_path / "m.pgm"),
+                "--filtered-out", str(tmp_path / "f.ppm"),
+            ],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: ParseError: line 8: non-numeric coordinate")
+
+    def test_bad_disparity_names_cloud(self, tmp_path, capsys):
+        disp = tmp_path / "d.txt"
+        disp.write_text("2 2\n1 2\n3\n")
+        assert main(["cloud", str(disp), "--out", str(tmp_path / "c.ply")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "cloud: ParseError: line 3: expected 2 values, got 1"
+        )
 
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -210,6 +244,35 @@ class TestConfig:
         cfg_file.write_text("not_a_key = 3\n")
         with pytest.raises(ParseError):
             load_pipeline_config(cfg_file)
+
+    def test_bad_file_value_names_its_line(self, tmp_path):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("# tuned\nvoxel_size = 0.01\n\nsor_k = eight\n")
+        with pytest.raises(ParseError) as exc:
+            load_pipeline_config(cfg_file)
+        assert str(exc.value) == "line 4: bad value for sor_k: 'eight'"
+        cfg_file.write_text("voxel_size = 0.01\nnot_a_key = 3\n")
+        with pytest.raises(ParseError) as exc:
+            load_pipeline_config(cfg_file)
+        assert exc.value.line == 2
+
+    def test_bad_flag_value_is_line_0(self, tmp_path):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("sor_k = 8\n")
+        with pytest.raises(ParseError) as exc:
+            load_pipeline_config(cfg_file, {"sor_k": "eight"})
+        assert exc.value.line == 0
+
+    @pytest.mark.parametrize("key", ["box_size", "sim_tolerance"])
+    def test_removed_keys_rejected(self, tmp_path, key, capsys):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"{key} = 0.05\n")
+        with pytest.raises(ParseError, match=f"line 1: unknown config key '{key}'"):
+            load_pipeline_config(cfg_file)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--out", str(tmp_path / "b"), "--" + key.replace("_", "-"), "0.05"])
+        assert exc.value.code == 1
+        capsys.readouterr()
 
     def test_validation(self):
         with pytest.raises(ValueError):

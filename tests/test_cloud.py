@@ -169,3 +169,124 @@ class TestPlyIO:
         with pytest.raises(ParseError) as exc:
             read_ply(path)
         assert exc.value.line == 8
+
+
+def reference_write_ply(path, cloud):
+    """The per-point loop the PLY writer replaced; the byte oracle."""
+    pts = cloud.points
+    with open(path, "w") as f:
+        f.write("ply\nformat ascii 1.0\n")
+        f.write(f"element vertex {pts.shape[0]}\n")
+        f.write("property float x\nproperty float y\nproperty float z\n")
+        f.write("end_header\n")
+        for x, y, z in pts:
+            f.write(f"{x:.6g} {y:.6g} {z:.6g}\n")
+
+
+def reference_read_ply(path, frame="camera"):
+    """The per-line loop the PLY reader replaced; the value and error oracle."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines or lines[0].strip() != "ply":
+        raise ParseError(1, "missing 'ply' magic")
+    count = None
+    body_start = None
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if parts[:2] == ["element", "vertex"]:
+            try:
+                count = int(parts[2])
+            except (IndexError, ValueError):
+                raise ParseError(i, "bad element vertex line") from None
+            if count < 0:
+                raise ParseError(i, f"negative vertex count {count}")
+        elif parts == ["end_header"]:
+            body_start = i
+            break
+    if count is None or body_start is None:
+        raise ParseError(len(lines), "header missing vertex count or end_header")
+    pts = np.empty((count, 3))
+    for j in range(count):
+        lineno = body_start + 1 + j
+        if lineno > len(lines):
+            raise ParseError(lineno, "fewer vertex lines than declared")
+        parts = lines[lineno - 1].split()
+        if len(parts) != 3:
+            raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
+        try:
+            pts[j] = [float(v) for v in parts]
+        except ValueError:
+            raise ParseError(lineno, "non-numeric coordinate") from None
+    return PointCloud(pts, frame)
+
+
+def ply_outcome(reader, path):
+    """A reader's points as raw bits, or its ParseError's line and message."""
+    try:
+        return reader(path).points.tobytes()
+    except ParseError as e:
+        return ("ParseError", e.line, str(e))
+
+
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 3\n"
+    "property float x\nproperty float y\nproperty float z\nend_header\n"
+)
+
+
+class TestPlyCodecMatchesReference:
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 10_001])
+    def test_bytes_and_values(self, tmp_path, rng, n):
+        # magnitudes from 1e-8 to 1e8 of either sign, some -0.0; more rows
+        # than one write block for the larger sizes
+        pts = 10.0 ** rng.uniform(-8, 8, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
+        pts[rng.random((n, 3)) < 0.02] = -0.0
+        fast, ref = tmp_path / "fast.ply", tmp_path / "ref.ply"
+        write_ply(fast, PointCloud(pts))
+        reference_write_ply(ref, PointCloud(pts))
+        assert fast.read_bytes() == ref.read_bytes()
+        back = read_ply(fast)
+        assert back.points.shape == (n, 3)
+        assert back.points.tobytes() == reference_read_ply(ref).points.tobytes()
+
+    def test_special_values(self, tmp_path):
+        pts = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e-300, -1e300]])
+        fast, ref = tmp_path / "fast.ply", tmp_path / "ref.ply"
+        write_ply(fast, PointCloud(pts))
+        reference_write_ply(ref, PointCloud(pts))
+        assert fast.read_bytes() == ref.read_bytes()
+        assert fast.read_text().endswith("end_header\n-0 nan inf\n-inf 1e-300 -1e+300\n")
+        assert read_ply(fast).points.tobytes() == reference_read_ply(ref).points.tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0 0 0\n\n1 1 1\n2 2 2\n",  # blank line inside the body (loadtxt skips it)
+            "0 0 0\n \t \n1 1 1\n",  # whitespace-only line
+            "0 0 0\n# 1 1\n2 2 2\n",  # '#' token (loadtxt's default comment)
+            "0 0 0\n1 1 #\n2 2 2\n",
+            "0 0 0\n1 1 1 # note\n2 2 2\n",  # a full row, then a '#' token
+            "0 0 0\n1 1 1 1\n2 2 2\n",  # one row with an extra value
+            "0 0 0\n1 1\n2 2 2\n",  # short row
+            "0 0 0\n1 1 1\n",  # short body
+            "",  # no body at all
+            "0 0 0\n1 y 1\n2 2 2\n",  # non-numeric token
+            "0 0 0\n1_0 1 1\n2 2 2\n",  # float() accepts '1_0', loadtxt does not
+            "0 0 0\n1 1 1\n2 2 2\n3 3 3\nnot read\n",  # lines past the declared count
+            "0 0 0\n1 1 1\n2 2 2",  # no final newline
+            "0\t0 0\n1\xa01 1\n2 2　2\n",  # other whitespace separators
+            "0 0 0\n1 1\v1\n2 2 2\n",  # a vertical tab ends a line
+            "nan -nan inf\n-0 +1 1e999\n.5 5. -.5e-3\n",
+        ],
+    )
+    def test_parse_outcome(self, tmp_path, body):
+        path = tmp_path / "c.ply"
+        path.write_bytes((PLY_HEADER + body).encode())
+        assert ply_outcome(read_ply, path) == ply_outcome(reference_read_ply, path)
+
+    def test_blank_line_reported_where_it_is(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text(PLY_HEADER + "0 0 0\n\n1 1 1\n2 2 2\n")
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert (exc.value.line, str(exc.value)) == (9, "line 9: expected 3 fields, got 0")

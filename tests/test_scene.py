@@ -331,6 +331,17 @@ class TestGridSpecIO:
             assert np.array_equal(back.rotation, spec.grid_pose.rotation), seed
             assert np.array_equal(back.translation, spec.grid_pose.translation), seed
 
+    def test_bad_value_names_its_line(self, tmp_path):
+        path = tmp_path / "scene.txt"
+        path.write_text("# grid\nrows = 4\ncols = four\n")
+        with pytest.raises(ParseError) as exc:
+            read_grid_spec(path)
+        assert str(exc.value) == "line 3: bad value for cols"
+        path.write_text("rows = 4\ncols\n")
+        with pytest.raises(ParseError) as exc:
+            read_grid_spec(path)
+        assert str(exc.value) == "line 2: expected key = value"
+
     def test_invalid_spec_is_parse_error(self, tmp_path):
         path = tmp_path / "scene.txt"
         path.write_text("rows = 1\n")

@@ -3,6 +3,7 @@ import pytest
 
 from rebartie.errors import NonPositiveDisparity, ParseError, SizeMismatch
 from rebartie.geometry import CameraModel, StereoRig, project
+from rebartie.scene import GridSpec, render_disparity
 from rebartie.stereo import (
     INVALID,
     block_match_disparity,
@@ -181,3 +182,136 @@ class TestDisparityIO:
         with pytest.raises(ParseError) as exc:
             read_disparity(path)
         assert exc.value.line == 3
+
+
+def reference_write_disparity(path, disp):
+    """The per-value loop the text writer replaced; the byte oracle."""
+    disp = np.asarray(disp, dtype=float)
+    h, w = disp.shape
+    with open(path, "w") as f:
+        f.write(f"{w} {h}\n")
+        for row in disp:
+            f.write(" ".join("-1" if v < 0 else f"{v:.6g}" for v in row))
+            f.write("\n")
+
+
+def reference_read_disparity(path):
+    """The per-line loop the text reader replaced; the value and error oracle."""
+    with open(path) as f:
+        lines = f.read().splitlines()
+    if not lines:
+        raise ParseError(1, "empty disparity file")
+    parts = lines[0].split()
+    if len(parts) != 2:
+        raise ParseError(1, "expected 'width height'")
+    try:
+        w, h = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(1, "non-integer dimensions") from None
+    if len(lines) < h + 1:
+        raise ParseError(len(lines), f"expected {h} data rows")
+    disp = np.empty((h, w))
+    for i in range(h):
+        row = lines[i + 1].split()
+        if len(row) != w:
+            raise ParseError(i + 2, f"expected {w} values, got {len(row)}")
+        try:
+            disp[i] = [float(v) for v in row]
+        except ValueError:
+            raise ParseError(i + 2, "non-numeric disparity") from None
+    disp[disp < 0] = INVALID
+    return disp
+
+
+def wide_range_map(rng, shape):
+    """Magnitudes from 1e-8 to 1e8, invalid pixels and -0.0; row 1 is all
+    invalid and row 2 all valid when the map has them."""
+    disp = 10.0 ** rng.uniform(-8, 8, shape)
+    disp[rng.random(shape) < 0.3] = -rng.uniform(0, 5)
+    disp[rng.random(shape) < 0.05] = -0.0
+    disp[1:2] = INVALID
+    disp[2:3] = np.abs(disp[2:3])
+    return disp
+
+
+def read_outcome(reader, path):
+    """A reader's result as raw bits, or its ParseError's line and message."""
+    try:
+        return reader(path).tobytes()
+    except ParseError as e:
+        return ("ParseError", e.line, str(e))
+
+
+class TestDisparityCodecMatchesReference:
+    @pytest.mark.parametrize("shape", [(40, 57), (30, 1), (1, 200), (0, 5), (3, 0)])
+    def test_bytes_and_values(self, tmp_path, rng, shape):
+        disp = wide_range_map(rng, shape)
+        fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
+        write_disparity(fast, disp)
+        reference_write_disparity(ref, disp)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert read_disparity(fast).tobytes() == reference_read_disparity(ref).tobytes()
+
+    def test_all_valid_and_all_invalid_maps(self, tmp_path, rng):
+        for disp in (rng.uniform(0, 64, (9, 13)), np.full((9, 13), INVALID)):
+            fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
+            write_disparity(fast, disp)
+            reference_write_disparity(ref, disp)
+            assert fast.read_bytes() == ref.read_bytes()
+            assert read_disparity(fast).tobytes() == reference_read_disparity(ref).tobytes()
+
+    def test_negative_zero_nan_and_inf(self, tmp_path):
+        disp = np.array([[-0.0, np.nan, np.inf, -np.inf, 1e-300, -1e-300]])
+        fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
+        write_disparity(fast, disp)
+        reference_write_disparity(ref, disp)
+        assert fast.read_bytes() == ref.read_bytes() == b"6 1\n-0 nan inf -1 1e-300 -1\n"
+        back = read_disparity(fast)
+        assert back.tobytes() == reference_read_disparity(ref).tobytes()
+        assert np.signbit(back[0, 0])
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "1 2 3\n\n4 5 6\n",  # blank line inside the body (loadtxt skips it)
+            "1 2 3\n   \n4 5 6\n",  # whitespace-only line
+            "1 2 3\n# 5 6\n4 5 6\n",  # '#' token (loadtxt's default comment)
+            "1 2 3\n4 5 # 6\n4 5 6\n",
+            "1 2 3\n4 5 6 # note\n7 8 9\n",  # a full row, then a '#' token
+            "1 2 3\n4 5 6 7\n4 5 6\n",  # one row with an extra value
+            "1 2 3\n4 5\n4 5 6\n",  # short row
+            "1 2 3\n4 5 6\n",  # short body
+            "1 2 3\n4 x 6\n4 5 6\n",  # non-numeric token
+            "1 2 3\n4 0x5 6\n4 5 6\n",
+            "1 2 3\n1_0 -1 1e5\n4 5 6\n",  # float() accepts '1_0', loadtxt does not
+            "1 2 3\n4 5 6\n7 8 9\nnot read\n",  # lines past the declared count
+            "1 2 3\n4 5 6\n7 8 9",  # no final newline
+            "1\t2 3\n4\xa05 6\n7 8\x1f9\n",  # other whitespace separators
+            "1 2 3\n4 5\f6\n7 8 9\n",  # a form feed ends a line
+            "1 2 3\n4 5 6\r\n7 8 9\r\n",
+            "nan inf -inf\n-nan +1 -0\n1e999 .5 5.\n",
+            "1 2 3\n4 ٥ 6\n7 8 9\n",  # a non-ASCII digit float() accepts
+        ],
+    )
+    def test_parse_outcome(self, tmp_path, body):
+        path = tmp_path / "d.txt"
+        path.write_bytes(("3 3\n" + body).encode())
+        assert read_outcome(read_disparity, path) == read_outcome(
+            reference_read_disparity, path
+        )
+
+    def test_blank_line_reported_where_it_is(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("3 3\n1 2 3\n\n4 5 6\n")
+        with pytest.raises(ParseError) as exc:
+            read_disparity(path)
+        assert (exc.value.line, str(exc.value)) == (3, "line 3: expected 3 values, got 0")
+
+    def test_rendered_scene_map(self, tmp_path):
+        rig = StereoRig(CameraModel(700.0, 700.0, 640.0, 360.0, 1280, 720), 0.06)
+        disp = render_disparity(GridSpec(), rig)
+        fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
+        write_disparity(fast, disp)
+        reference_write_disparity(ref, disp)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert read_disparity(fast).tobytes() == reference_read_disparity(ref).tobytes()
