@@ -23,7 +23,7 @@ from .geometry import (
     rotation_aligning,
     transform_point,
 )
-from .masking import align_to_xoz, apply_mask, rasterize_mask, select_near_plane
+from .masking import apply_mask, rasterize_mask, select_near_plane
 from .metrics import compute_sai, compute_tce, detection_accuracy, match_nodes
 from .nodes import DetectionBox, locate_nodes, parse_yolo_labels
 from .planes import (

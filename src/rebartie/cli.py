@@ -18,8 +18,7 @@ from . import frames as framesmod
 from . import masking, metrics, nodes, pnm, robot, scene, stereo
 from . import planes as planesmod
 from .config import PipelineConfig, load_pipeline_config
-from .errors import INPUT_ERRORS, ParseError, RebarTieError
-from .geometry import backproject
+from .errors import INPUT_ERRORS, BadParameter, ParseError, RebarTieError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -122,10 +121,13 @@ def _cmd_nodes(args):
     if cfg.node_depth_source == "disparity":
         if args.disparity is None:
             raise ParseError(0, "node_depth_source=disparity needs --disparity")
-        observations, diags = _locate_from_disparity(args, cfg, boxes, cam)
-    else:
+        disp = stereo.read_disparity(args.disparity)
+        observations, diags = nodes.locate_nodes_from_disparity(boxes, cfg.rig(), disp)
+    elif cfg.node_depth_source == "plane":
         pair, _frame = planesmod.read_plane_pair(args.planes)
         observations, diags = nodes.locate_nodes(boxes, cam, pair.mid_plane())
+    else:
+        raise BadParameter("node_depth_source must be 'plane' or 'disparity'")
     for d in diags:
         print(f"nodes: skipped {d}", file=sys.stderr)
     cam_points = np.array([o.camera_point for o in observations]).reshape(-1, 3)
@@ -135,25 +137,6 @@ def _cmd_nodes(args):
     framesmod.write_tie_points(args.out, ties)
     print(f"nodes: {len(ties)} tie points ({len(diags)} skipped) -> {args.out}")
     return 0
-
-
-def _locate_from_disparity(args, cfg, boxes, cam):
-    disp = stereo.read_disparity(args.disparity)
-    rig = cfg.rig()
-    observations = []
-    diags = []
-    for i, box in enumerate(boxes):
-        u, v = nodes.box_to_node_pixel(box, cam.width, cam.height)
-        ui, vi = int(round(u)), int(round(v))
-        d = disp[vi, ui] if 0 <= vi < cam.height and 0 <= ui < cam.width else -1.0
-        if d <= 0:
-            diags.append(f"box {i}: no valid disparity at node pixel")
-            continue
-        z = stereo.disparity_to_depth(rig, d)
-        observations.append(
-            nodes.NodeObservation((u, v), backproject(cam, u, v, z), box)
-        )
-    return observations, diags
 
 
 def _cmd_tie(args):
@@ -202,8 +185,9 @@ def _cmd_sim_robot(args):
         tie_failure_rate=cfg.sim_failure_rate,
         seed=cfg.sim_seed,
     )
+    server = robot.SimRobotServer(sim, port=args.port, log_path=args.log_file)
     print(f"sim-robot: listening on port {args.port}, serving until QUIT")
-    robot.run_sim_server(sim, port=args.port, log_path=args.log_file)
+    server.serve_forever()
     return 0
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ParseError, TooFewPoints
+from .errors import BadParameter, ParseError, TooFewPoints
 
 # Rows formatted per write call: about 100 kB of text at a time, so a
 # large cloud is never held as one string.
@@ -50,6 +50,8 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0):
     exceeds mu + sigma_mult * sigma, where mu and sigma are taken over the
     whole cloud. Exact kNN; survivor order preserved.
     """
+    if k < 1:
+        raise BadParameter("k must be >= 1")
     n = len(cloud)
     if n <= k:
         raise TooFewPoints(f"cloud of size {n} needs more than k={k} points")
@@ -71,7 +73,7 @@ def voxel_downsample(cloud, voxel_size=0.005):
     source pixel).
     """
     if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
+        raise BadParameter("voxel_size must be positive")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)), cloud.frame)
     keys = np.floor(cloud.points / voxel_size).astype(np.int64)

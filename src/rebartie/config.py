@@ -1,8 +1,10 @@
 """Pipeline configuration: one flat key=value file shared by every stage.
 
-Command-line flags override file values; flag names mirror the keys.
+Command-line flags override file values; flag names mirror the keys. Values
+are only parsed here: each range rule lives in the stage that uses the value.
 """
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -53,24 +55,6 @@ class PipelineConfig:
     sim_failure_rate: float = 0.0
     sim_seed: int = 0
 
-    def __post_init__(self):
-        if self.block_radius < 1 or self.max_disparity < 1:
-            raise ValueError("block_radius and max_disparity must be >= 1")
-        if self.window < 3 or self.window % 2 == 0:
-            raise ValueError("window must be odd and >= 3")
-        if self.delta <= 0 or self.voxel_size <= 0 or self.tau <= 0:
-            raise ValueError("delta, voxel_size and tau must be positive")
-        if self.sor_k < 1:
-            raise ValueError("sor_k must be >= 1")
-        if self.dilation_radius < 0:
-            raise ValueError("dilation_radius must be >= 0")
-        if self.node_depth_source not in ("plane", "disparity"):
-            raise ValueError("node_depth_source must be 'plane' or 'disparity'")
-        if self.tie_policy not in ("abort_on_error", "skip_on_error"):
-            raise ValueError("tie_policy must be abort_on_error or skip_on_error")
-        if self.row_tolerance <= 0 or self.match_cutoff <= 0:
-            raise ValueError("row_tolerance and match_cutoff must be positive")
-
     def camera(self):
         return CameraModel(
             self.fx, self.fy, self.cx, self.cy, self.image_width, self.image_height
@@ -116,11 +100,10 @@ def load_pipeline_config(path=None, overrides=None):
                 kwargs[key] = int(val)
             elif ftype in (float, "float"):
                 kwargs[key] = float(val)
+                if not math.isfinite(kwargs[key]):
+                    raise ParseError(lineno, f"non-finite value for {key}: {val!r}")
             else:
                 kwargs[key] = str(val)
         except ValueError:
             raise ParseError(lineno, f"bad value for {key}: {val!r}") from None
-    try:
-        return PipelineConfig(**kwargs)
-    except ValueError as e:
-        raise ParseError(0, f"bad config: {e}") from None
+    return PipelineConfig(**kwargs)

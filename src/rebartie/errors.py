@@ -67,6 +67,10 @@ class ParseError(RebarTieError):
         self.line = line
 
 
+class BadParameter(RebarTieError, ValueError):
+    """A tunable outside its valid range, raised by the code that uses it."""
+
+
 class BadCalibration(RebarTieError):
     module = "frames"
 
@@ -95,4 +99,4 @@ class NoMatches(RebarTieError):
 
 # Errors that indicate bad user input rather than a pipeline-stage failure;
 # the CLI maps these to exit code 1, everything else to 2.
-INPUT_ERRORS = (ParseError, BadCalibration)
+INPUT_ERRORS = (ParseError, BadParameter, BadCalibration)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadCalibration, ParseError
+from .errors import BadCalibration, BadParameter, ParseError
 from .geometry import RigidTransform, transform_point
 from .nodes import NodeObservation
 
@@ -117,7 +117,7 @@ def sequence_ties(points, row_tolerance=0.05, sources=None):
     avoid travel reversals.
     """
     if row_tolerance <= 0:
-        raise ValueError("row_tolerance must be positive")
+        raise BadParameter("row_tolerance must be positive")
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
     if n == 0:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BehindCamera, DegenerateInput, FrameMismatch
+from .errors import BadParameter, BehindCamera, DegenerateInput, FrameMismatch
 
 # Components at or below this magnitude are treated as zero when picking the
 # canonical normal sign; a unit normal always has one component above it.
@@ -105,9 +105,9 @@ class CameraModel:
 
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
-            raise ValueError("focal lengths must be positive")
+            raise BadParameter("focal lengths must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise BadParameter("principal point must lie inside the image")
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class StereoRig:
 
     def __post_init__(self):
         if self.baseline <= 0:
-            raise ValueError("baseline must be positive")
+            raise BadParameter("baseline must be positive")
 
 
 def plane_signed_distance(plane, p):

@@ -1,27 +1,19 @@
-"""Plane-mask generation: alignment, near-plane selection, rasterization,
-and background removal on the RGB image."""
+"""Plane-mask generation: near-plane selection, rasterization, and
+background removal on the RGB image."""
 
 import numpy as np
 from scipy import ndimage
 
 from .cloud import PointCloud
-from .errors import MissingProvenance, SizeMismatch
-from .geometry import plane_signed_distance, project, rotation_aligning
+from .errors import BadParameter, MissingProvenance, SizeMismatch
+from .geometry import plane_signed_distance, project
 from .pnm import read_pgm, write_pgm
-
-_Y_AXIS = np.array([0.0, 1.0, 0.0])
-
-
-def align_to_xoz(plane, from_frame="camera", to_frame="aligned"):
-    """Rotation bringing the plane normal onto +y, so the plane becomes
-    y = offset."""
-    return rotation_aligning(plane.normal, _Y_AXIS, from_frame, to_frame)
 
 
 def select_near_plane(cloud, plane, tau=0.015):
     """Keep points within tau of the plane (absolute signed distance)."""
     if tau <= 0:
-        raise ValueError("tau must be positive")
+        raise BadParameter("tau must be positive")
     dist = plane_signed_distance(plane, cloud.points)
     return cloud.take(np.flatnonzero(np.abs(dist) <= tau))
 
@@ -32,6 +24,8 @@ def rasterize_mask(selected, width, height, dilation_radius=2):
     Each source pixel is set true, then dilated with a square structuring
     element of the given radius (0 = no dilation).
     """
+    if dilation_radius < 0:
+        raise BadParameter("dilation_radius must be >= 0")
     if selected.provenance is None:
         raise MissingProvenance("cloud has no source-pixel provenance")
     mask = np.zeros((height, width), dtype=bool)

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoAttempts, NoMatches
+from .errors import BadParameter, NoAttempts, NoMatches
 
 
 @dataclass
@@ -34,7 +34,7 @@ def match_nodes(predicted, actual, cutoff=0.05):
     of (pred_index, actual_index) pairs.
     """
     if cutoff <= 0:
-        raise ValueError("cutoff must be positive")
+        raise BadParameter("cutoff must be positive")
     pred = np.asarray(predicted, dtype=float).reshape(-1, 3)
     act = np.asarray(actual, dtype=float).reshape(-1, 3)
     if pred.shape[0] == 0 or act.shape[0] == 0:
@@ -90,7 +90,7 @@ def detection_accuracy(predicted_boxes, gt_boxes, iou_threshold=0.5):
     """Recall at IoU: fraction of ground-truth boxes matched one-to-one by
     a prediction with IoU >= threshold (greedy, by descending IoU)."""
     if not 0 < iou_threshold < 1:
-        raise ValueError("iou_threshold must be in (0, 1)")
+        raise BadParameter("iou_threshold must be in (0, 1)")
     if not gt_boxes:
         return 0.0
     candidates = []

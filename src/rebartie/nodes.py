@@ -4,15 +4,16 @@ Labels arrive from an external open-vocabulary detector as text, one
 detection per line: "class_id cx cy w h [conf]" with box center and size
 normalized by the image dimensions. The node is the box center; its 3-D
 position comes from intersecting the camera ray with the detected rebar
-plane.
+plane, or from the disparity at the node pixel.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NegativeDepth, ParseError, RayParallel
+from .errors import NegativeDepth, ParseError, RayParallel, SizeMismatch
 from .geometry import backproject
+from .stereo import disparity_to_depth
 
 
 @dataclass(frozen=True)
@@ -111,4 +112,27 @@ def locate_nodes(boxes, cam, plane):
             diagnostics.append(f"box {i}: {type(e).__name__}: {e}")
             continue
         observations.append(NodeObservation((u, v), point, box))
+    return observations, diagnostics
+
+
+def locate_nodes_from_disparity(boxes, rig, disp):
+    """Localize every detection at the depth its node pixel's disparity gives.
+
+    Returns (observations, diagnostics) as locate_nodes does: a box whose
+    node pixel has no valid disparity is skipped with a diagnostic.
+    """
+    cam = rig.camera
+    if disp.shape != (cam.height, cam.width):
+        raise SizeMismatch(f"disparity {disp.shape} vs camera {(cam.height, cam.width)}")
+    observations = []
+    diagnostics = []
+    for i, box in enumerate(boxes):
+        u, v = box_to_node_pixel(box, cam.width, cam.height)
+        ui, vi = int(round(u)), int(round(v))
+        d = disp[vi, ui] if 0 <= vi < cam.height and 0 <= ui < cam.width else -1.0
+        if not d > 0:
+            diagnostics.append(f"box {i}: no valid disparity at node pixel")
+            continue
+        z = disparity_to_depth(rig, d)
+        observations.append(NodeObservation((u, v), backproject(cam, u, v, z), box))
     return observations, diagnostics

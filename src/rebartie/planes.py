@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, LayersTooClose, NoConsensus, ParseError
+from .errors import BadParameter, DegenerateInput, LayersTooClose, NoConsensus, ParseError
 from .geometry import Plane, fit_plane_least_squares, plane_signed_distance
 
 
@@ -22,11 +22,11 @@ class RansacParams:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+            raise BadParameter("iterations must be >= 1")
         if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
+            raise BadParameter("inlier_threshold must be positive")
         if not 0 < self.min_inlier_fraction <= 1:
-            raise ValueError("min_inlier_fraction must be in (0, 1]")
+            raise BadParameter("min_inlier_fraction must be in (0, 1]")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConnectionLost, ProtocolError
+from .errors import BadParameter, ConnectionLost, ProtocolError
 
 ERR_BAD_COMMAND = 1
 ERR_UNREACHABLE = 2
@@ -168,7 +168,7 @@ def execute_sequence(ties, client, policy=ABORT_ON_ERROR):
     ConnectionLost carrying the partial report.
     """
     if policy not in (ABORT_ON_ERROR, SKIP_ON_ERROR):
-        raise ValueError(f"unknown policy {policy!r}")
+        raise BadParameter(f"unknown policy {policy!r}")
     report = SequenceReport()
     try:
         for tie in ties:
@@ -206,9 +206,9 @@ class SimRobotConfig:
 
     def __post_init__(self):
         if self.workspace_radius <= 0:
-            raise ValueError("workspace_radius must be positive")
+            raise BadParameter("workspace_radius must be positive")
         if not 0 <= self.tie_failure_rate <= 1:
-            raise ValueError("tie_failure_rate must be in [0, 1]")
+            raise BadParameter("tie_failure_rate must be in [0, 1]")
 
 
 class SimRobotServer:
@@ -340,11 +340,3 @@ class SimRobotServer:
                 pass
         if self._thread is not None:
             self._thread.join(timeout=5.0)
-
-
-def run_sim_server(config, port, host="127.0.0.1", log_path=None):
-    """Blocking convenience wrapper: serve until a client sends QUIT."""
-    server = SimRobotServer(config, port=port, host=host, log_path=log_path,
-                            stop_on_quit=True)
-    server.serve_forever()
-    return server

@@ -15,13 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .cloud import PointCloud
-from .config import parse_keyvalues
+from .config import PipelineConfig, parse_keyvalues
 from .errors import ParseError
 from .geometry import (
-    CameraModel,
     Plane,
     RigidTransform,
-    StereoRig,
     project,
     transform_plane,
     transform_point,
@@ -36,12 +34,12 @@ _SAMPLE_AREA = 4e-6
 # the background warps without resampling
 _BG_DISPARITY = 20
 
+# ground-truth detection box width and height, normalized by the image size
+_BOX_SIZE = 0.05
+
 
 def default_rig():
-    return StereoRig(
-        CameraModel(fx=700.0, fy=700.0, cx=640.0, cy=360.0, width=1280, height=720),
-        baseline=0.06,
-    )
+    return PipelineConfig().rig()
 
 
 def default_grid_pose(rows, cols, spacing_x, spacing_z, layer_gap, distance=1.2):
@@ -346,7 +344,7 @@ def synth_stereo_pair(spec, disparity):
     return left, right
 
 
-def emit_ground_truth_boxes(truth, cam, box_size=0.05):
+def emit_ground_truth_boxes(truth, cam):
     """DetectionBoxes centered on each node's projected pixel."""
     pix = project(cam, truth.nodes)
     boxes = []
@@ -354,16 +352,9 @@ def emit_ground_truth_boxes(truth, cam, box_size=0.05):
         if not (0 <= u < cam.width and 0 <= v < cam.height):
             raise ValueError(f"node projects outside the image at ({u:.1f}, {v:.1f})")
         boxes.append(
-            DetectionBox(0, u / cam.width, v / cam.height, box_size, box_size)
+            DetectionBox(0, u / cam.width, v / cam.height, _BOX_SIZE, _BOX_SIZE)
         )
     return boxes
-
-
-def emit_ground_truth_labels(truth, cam, box_size=0.05):
-    """YOLO label text for the ground-truth nodes."""
-    from .nodes import write_yolo_labels
-
-    return write_yolo_labels(emit_ground_truth_boxes(truth, cam, box_size))
 
 
 _SPEC_FIELDS = (

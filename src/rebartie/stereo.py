@@ -9,7 +9,7 @@ import numpy as np
 from scipy import ndimage
 
 from .cloud import PointCloud, parse_float_rows
-from .errors import NonPositiveDisparity, ParseError, SizeMismatch
+from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 
 INVALID = -1.0
 
@@ -51,9 +51,9 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     if left.shape != right.shape:
         raise SizeMismatch(f"left {left.shape} vs right {right.shape}")
     if block_radius < 1:
-        raise ValueError("block_radius must be >= 1")
+        raise BadParameter("block_radius must be >= 1")
     if max_disparity < 1:
-        raise ValueError("max_disparity must be >= 1")
+        raise BadParameter("max_disparity must be >= 1")
     h, w = left.shape
     r = block_radius
     lf = left.astype(np.float64)
@@ -137,9 +137,9 @@ def window_disparity_filter(disp, window=31, delta=3.0):
     invalid pixels are never revalidated.
     """
     if window < 3 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 3")
+        raise BadParameter("window must be odd and >= 3")
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise BadParameter("delta must be positive")
     disp = np.asarray(disp, dtype=float)
     valid = disp >= 0
     padded = np.where(valid, disp, -np.inf)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,11 @@ from rebartie import pnm, scene
 from rebartie.cli import main
 from rebartie.cloud import PointCloud, write_ply
 from rebartie.config import PipelineConfig, load_pipeline_config
-from rebartie.errors import ParseError
+from rebartie.errors import BadParameter, ParseError
 from rebartie.frames import CalibrationSet, format_calibration, read_tie_points
 from rebartie.geometry import RigidTransform
 from rebartie.robot import SimRobotConfig, SimRobotServer
+from rebartie.stereo import window_disparity_filter
 
 
 @pytest.fixture
@@ -135,6 +138,54 @@ class TestFullChain:
         assert out.exists()
 
 
+class TestNodesFromDisparity:
+    """nodes --node-depth-source disparity: depth from the node pixel's disparity."""
+
+    def _nodes(self, bundle, calib, labels, disparity, out):
+        argv = [
+            "nodes", str(labels), str(bundle / "planes.txt"), str(calib),
+            "--out", str(out), "--node-depth-source", "disparity",
+        ]
+        return main(argv + (["--disparity", str(disparity)] if disparity else []))
+
+    @pytest.mark.parametrize("source", ["matched", "rendered"])
+    def test_every_node_located_and_matched(self, tmp_path, bundle, identity_calib_file, source, capsys):
+        disparity = bundle / "disparity.txt"
+        if source == "matched":
+            disparity = tmp_path / "matched.txt"
+            assert main([
+                "disparity", str(bundle / "left.pgm"), str(bundle / "right.pgm"),
+                "--out", str(disparity),
+            ]) == 0
+        ties = tmp_path / "ties.txt"
+        assert self._nodes(bundle, identity_calib_file, bundle / "labels.txt", disparity, ties) == 0
+        assert len(read_tie_points(ties)) == 25
+        metrics_out = tmp_path / "metrics.txt"
+        assert main(["eval", str(ties), str(bundle / "gt_nodes.txt"), "--out", str(metrics_out)]) == 0
+        content = metrics_out.read_text()
+        assert "matched=25" in content
+        assert "unmatched_predictions=0" in content and "unmatched_ground_truth=0" in content
+        assert "skipped" not in capsys.readouterr().err
+
+    def test_missing_disparity_exit_1(self, tmp_path, bundle, identity_calib_file, capsys):
+        rc = self._nodes(bundle, identity_calib_file, bundle / "labels.txt", None, tmp_path / "t.txt")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(
+            "nodes: ParseError: line 0: node_depth_source=disparity needs --disparity"
+        )
+
+    def test_invalid_node_pixel_skipped(self, tmp_path, bundle, identity_calib_file, capsys):
+        # one more box, centered on background: the rendered map is invalid there
+        labels = tmp_path / "labels.txt"
+        labels.write_text((bundle / "labels.txt").read_text() + "0 0.020000 0.020000 0.050000 0.050000\n")
+        ties = tmp_path / "ties.txt"
+        assert self._nodes(bundle, identity_calib_file, labels, bundle / "disparity.txt", ties) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "nodes: skipped box 25: no valid disparity at node pixel\n"
+        assert "25 tie points (1 skipped)" in captured.out
+        assert len(read_tie_points(ties)) == 25
+
+
 class TestErrors:
     def test_single_layer_cloud_exit_2(self, tmp_path, rng, capsys):
         pts = rng.uniform(-0.3, 0.3, (500, 3))
@@ -171,7 +222,7 @@ class TestErrors:
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("cloud: ParseError: line 0: bad config: window must be odd")
+        assert err.startswith("cloud: BadParameter: window must be odd")
 
     def test_directory_as_input_exit_1(self, tmp_path, capsys):
         rc = main(["planes", str(tmp_path), "--out", str(tmp_path / "p.txt")])
@@ -228,6 +279,133 @@ class TestErrors:
         capsys.readouterr()
 
 
+# One out-of-range value per config key that has a rule: (key, the
+# subcommand that reads it, the value, the rule's message).
+BAD_PARAMETERS = [
+    ("block_radius", "disparity", "0", "block_radius must be >= 1"),
+    ("max_disparity", "disparity", "0", "max_disparity must be >= 1"),
+    ("window", "cloud", "4", "window must be odd and >= 3"),
+    ("delta", "cloud", "0", "delta must be positive"),
+    ("sor_k", "cloud", "0", "k must be >= 1"),
+    ("voxel_size", "cloud", "-0.005", "voxel_size must be positive"),
+    ("baseline", "cloud", "0", "baseline must be positive"),
+    ("image_width", "cloud", "640", "principal point must lie inside the image"),
+    ("ransac_iterations", "planes", "0", "iterations must be >= 1"),
+    ("ransac_inlier_threshold", "planes", "0", "inlier_threshold must be positive"),
+    ("ransac_min_inlier_fraction", "planes", "1.5", "min_inlier_fraction must be in (0, 1]"),
+    ("tau", "mask", "0", "tau must be positive"),
+    ("dilation_radius", "mask", "-1", "dilation_radius must be >= 0"),
+    ("cy", "mask", "-1", "principal point must lie inside the image"),
+    ("node_depth_source", "nodes", "depth", "node_depth_source must be 'plane' or 'disparity'"),
+    ("row_tolerance", "nodes", "0", "row_tolerance must be positive"),
+    ("fx", "nodes", "0", "focal lengths must be positive"),
+    ("fy", "nodes", "0", "focal lengths must be positive"),
+    ("cx", "synth", "5000", "principal point must lie inside the image"),
+    ("image_height", "synth", "360", "principal point must lie inside the image"),
+    ("tie_policy", "tie", "yolo", "unknown policy 'yolo'"),
+    ("sim_radius", "sim-robot", "0", "workspace_radius must be positive"),
+    ("sim_failure_rate", "sim-robot", "1.5", "tie_failure_rate must be in [0, 1]"),
+    ("match_cutoff", "eval", "0", "cutoff must be positive"),
+    ("iou_threshold", "eval", "1.5", "iou_threshold must be in (0, 1)"),
+]
+
+# Keys that take any value of their type.
+NO_RULE = {"sor_sigma_mult", "ransac_seed", "sim_center_x", "sim_center_y", "sim_center_z", "sim_seed"}
+
+
+@pytest.fixture(scope="module")
+def walkthrough(tmp_path_factory):
+    """The inputs of every subcommand, from one default scene."""
+    base = tmp_path_factory.mktemp("walkthrough")
+    bundle = base / "bundle"
+    files = {
+        "bundle": bundle,
+        "cloud": base / "cloud.ply",
+        "planes": base / "planes.txt",
+        "image": base / "image.ppm",
+        "calib": base / "calib.txt",
+        "ties": base / "ties.txt",
+    }
+    calib = CalibrationSet(
+        RigidTransform(np.eye(3), np.zeros(3), "camera", "base"),
+        RigidTransform(np.eye(3), np.zeros(3), "base", "base"),
+    )
+    files["calib"].write_text(format_calibration(calib))
+    assert main(["synth", "--out", str(bundle)]) == 0
+    left = pnm.read_pgm(bundle / "left.pgm")
+    pnm.write_ppm(files["image"], np.stack([left] * 3, axis=-1))
+    assert main(["cloud", str(bundle / "disparity.txt"), "--out", str(files["cloud"])]) == 0
+    assert main(["planes", str(files["cloud"]), "--out", str(files["planes"])]) == 0
+    assert main([
+        "nodes", str(bundle / "labels.txt"), str(files["planes"]), str(files["calib"]),
+        "--out", str(files["ties"]),
+    ]) == 0
+    return files
+
+
+def _argv(command, files, out, server_port=None):
+    bundle = files["bundle"]
+    return {
+        "disparity": ["disparity", bundle / "left.pgm", bundle / "right.pgm", "--out", out / "m.txt"],
+        "cloud": ["cloud", bundle / "disparity.txt", "--out", out / "c.ply"],
+        "planes": ["planes", files["cloud"], "--out", out / "p.txt"],
+        "mask": [
+            "mask", files["cloud"], files["planes"], files["image"],
+            "--mask-out", out / "m.pgm", "--filtered-out", out / "f.ppm",
+        ],
+        "nodes": [
+            "nodes", bundle / "labels.txt", files["planes"], files["calib"], "--out", out / "t.txt",
+        ],
+        "synth": ["synth", "--out", out / "b"],
+        "tie": [
+            "tie", files["ties"], f"127.0.0.1:{server_port}",
+            "--report-out", out / "r.txt", "--metrics-out", out / "tce.txt",
+        ],
+        "sim-robot": ["sim-robot", "--port", "0"],
+        "eval": ["eval", files["ties"], bundle / "gt_nodes.txt"],
+    }[command]
+
+
+class TestBadParameter:
+    def test_table_covers_every_key(self):
+        keys = [row[0] for row in BAD_PARAMETERS]
+        assert len(keys) == len(set(keys)) == 25
+        assert set(keys) | NO_RULE == {f.name for f in fields(PipelineConfig)}
+        assert not set(keys) & NO_RULE
+
+    @pytest.mark.parametrize("key, command, value, rule", BAD_PARAMETERS, ids=[r[0] for r in BAD_PARAMETERS])
+    def test_out_of_range_flag_exit_1(self, tmp_path, walkthrough, key, command, value, rule, capsys):
+        server = None
+        if command == "tie":
+            server = SimRobotServer(SimRobotConfig(), port=0).start()
+        argv = _argv(command, walkthrough, tmp_path, server and server.port)
+        if key == "iou_threshold":
+            labels = walkthrough["bundle"] / "labels.txt"
+            argv = ["eval", "--labels", labels, labels]
+        argv = [str(a) for a in argv] + ["--" + key.replace("_", "-"), value]
+        try:
+            rc = main(argv)
+        finally:
+            if server is not None:
+                server.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"{command}: BadParameter: {rule}\n"
+        assert "Traceback" not in err
+
+    def test_tie_policy_rejected_before_any_command(self, tmp_path, walkthrough, capsys):
+        log = tmp_path / "sim.log"
+        server = SimRobotServer(SimRobotConfig(), port=0, log_path=log).start()
+        argv = [str(a) for a in _argv("tie", walkthrough, tmp_path, server.port)]
+        try:
+            assert main(argv + ["--tie-policy", "yolo"]) == 1
+        finally:
+            server.stop()
+        assert log.read_text() == ""
+        assert not (tmp_path / "r.txt").exists()
+        capsys.readouterr()
+
+
 class TestConfig:
     def test_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.txt"
@@ -274,11 +452,40 @@ class TestConfig:
         assert exc.value.code == 1
         capsys.readouterr()
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(window=4)
-        with pytest.raises(ValueError):
-            PipelineConfig(tie_policy="yolo")
+    def test_ranges_are_checked_by_the_stage(self):
+        cfg = PipelineConfig(window=4)
+        with pytest.raises(BadParameter, match="window must be odd") as exc:
+            window_disparity_filter(np.zeros((8, 8)), cfg.window, cfg.delta)
+        assert isinstance(exc.value, ValueError)
+
+    def test_key_not_read_is_not_checked(self, tmp_path, bundle, capsys):
+        rc = main([
+            "cloud", str(bundle / "disparity.txt"), "--out", str(tmp_path / "c.ply"),
+            "--tau", "0",
+        ])
+        assert rc == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_file_value_names_its_line(self, tmp_path, value):
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text(f"sor_k = 8\nvoxel_size = {value}\n")
+        with pytest.raises(ParseError) as exc:
+            load_pipeline_config(cfg_file)
+        assert str(exc.value) == f"line 2: non-finite value for voxel_size: {value!r}"
+
+    def test_non_finite_flag_value_is_line_0(self, tmp_path, bundle, capsys):
+        with pytest.raises(ParseError, match="line 0: non-finite value for row_tolerance"):
+            load_pipeline_config(None, {"row_tolerance": "nan"})
+        rc = main([
+            "cloud", str(bundle / "disparity.txt"), "--out", str(tmp_path / "c.ply"),
+            "--voxel-size", "nan",
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "cloud: ParseError: line 0: non-finite value for voxel_size: 'nan'\n"
+        )
+        assert not (tmp_path / "c.ply").exists()
 
     def test_flag_reaches_stage(self, tmp_path, bundle):
         # shrink the voxel size; the cloud gets denser

@@ -8,7 +8,7 @@ from rebartie.cloud import (
     voxel_downsample,
     write_ply,
 )
-from rebartie.errors import ParseError, TooFewPoints
+from rebartie.errors import BadParameter, ParseError, TooFewPoints
 
 
 def brute_sor_survivors(points, k, sigma_mult):
@@ -58,6 +58,10 @@ class TestStatisticalOutlierRemoval:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             statistical_outlier_removal(PointCloud(np.zeros((5, 3))), k=5)
+
+    def test_k_zero_is_bad_parameter(self, rng):
+        with pytest.raises(BadParameter, match="k must be >= 1"):
+            statistical_outlier_removal(PointCloud(rng.normal(size=(20, 3))), k=0)
 
     def test_survivors_are_input_subset_in_order(self, rng):
         pts = rng.normal(size=(60, 3))

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 
 from rebartie.cloud import PointCloud
-from rebartie.errors import MissingProvenance, SizeMismatch
-from rebartie.geometry import CameraModel, Plane, make_plane, transform_point
+from rebartie.errors import BadParameter, MissingProvenance, SizeMismatch
+from rebartie.geometry import (
+    CameraModel,
+    Plane,
+    make_plane,
+    rotation_aligning,
+    transform_point,
+)
 from rebartie.masking import (
-    align_to_xoz,
     apply_mask,
     attach_projected_provenance,
     rasterize_mask,
@@ -14,29 +19,6 @@ from rebartie.masking import (
     write_mask,
 )
 from rebartie.pnm import read_ppm, write_ppm
-
-
-class TestAlignToXoz:
-    def test_already_aligned(self):
-        t = align_to_xoz(Plane(np.array([0.0, 1.0, 0.0]), 0.5))
-        assert np.allclose(t.rotation, np.eye(3))
-        assert np.allclose(t.translation, 0)
-
-    def test_x_normal_plane_becomes_y_constant(self, rng):
-        plane = Plane(np.array([1.0, 0.0, 0.0]), 0.3)
-        t = align_to_xoz(plane)
-        # points on the plane: x = 0.3
-        pts = np.column_stack([
-            np.full(50, 0.3), rng.normal(size=50), rng.normal(size=50)
-        ])
-        moved = transform_point(t, pts)
-        assert np.allclose(moved[:, 1], 0.3, atol=1e-9)
-
-    def test_random_plane_normal_maps_to_y(self, rng):
-        for _ in range(25):
-            plane = make_plane(rng.normal(size=3), rng.normal())
-            t = align_to_xoz(plane)
-            assert np.allclose(t.rotation @ plane.normal, [0, 1, 0], atol=1e-9)
 
 
 class TestSelectNearPlane:
@@ -67,7 +49,7 @@ class TestSelectNearPlane:
         pts = rng.normal(size=(200, 3))
         cloud = PointCloud(pts, provenance=np.arange(400).reshape(200, 2))
         before = select_near_plane(cloud, plane, tau=0.1)
-        t = align_to_xoz(plane)
+        t = rotation_aligning(plane.normal, np.array([0.0, 1.0, 0.0]), "camera", "aligned")
         aligned = PointCloud(
             transform_point(t, pts), "aligned", cloud.provenance
         )
@@ -106,6 +88,11 @@ class TestRasterizeMask:
     def test_missing_provenance(self):
         with pytest.raises(MissingProvenance):
             rasterize_mask(PointCloud([[0, 0, 1.0]]), 8, 8, 0)
+
+    def test_negative_radius_is_bad_parameter(self):
+        cloud = PointCloud([[0, 0, 1.0]], provenance=[[1, 1]])
+        with pytest.raises(BadParameter, match="dilation_radius must be >= 0"):
+            rasterize_mask(cloud, 8, 8, -1)
 
     def test_out_of_bounds_provenance(self):
         cloud = PointCloud([[0, 0, 1.0]], provenance=[[99, 0]])

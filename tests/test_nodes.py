@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from rebartie.errors import NegativeDepth, ParseError, RayParallel
-from rebartie.geometry import CameraModel, Plane
+from rebartie.errors import NegativeDepth, ParseError, RayParallel, SizeMismatch
+from rebartie.geometry import CameraModel, Plane, StereoRig
 from rebartie.nodes import (
     DetectionBox,
     box_to_node_pixel,
     locate_nodes,
+    locate_nodes_from_disparity,
     node_pixel_to_camera_point,
     parse_yolo_labels,
     write_yolo_labels,
@@ -141,3 +142,29 @@ class TestLocateNodes:
         assert len(obs) == 1 and len(diags) == 1
         assert "RayParallel" in diags[0]
         assert obs[0].camera_point[1] == pytest.approx(0.5)
+
+
+class TestLocateNodesFromDisparity:
+    rig = StereoRig(CAM, 0.1)
+
+    def test_depth_from_node_pixel(self):
+        disp = np.full((CAM.height, CAM.width), 25.0)  # z = 500 * 0.1 / 25 = 2
+        boxes = [DetectionBox(0, 0.5, 0.5, 0.1, 0.1), DetectionBox(0, 0.25, 0.75, 0.1, 0.1)]
+        obs, diags = locate_nodes_from_disparity(boxes, self.rig, disp)
+        assert not diags
+        assert np.allclose(obs[0].camera_point, [0.0, 0.0, 2.0])
+        assert obs[1].camera_point[2] == pytest.approx(2.0)
+        assert [o.source_box for o in obs] == boxes
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan])
+    def test_invalid_disparity_skipped_with_diagnostic(self, value):
+        disp = np.full((CAM.height, CAM.width), 25.0)
+        disp[240, 320] = value
+        boxes = [DetectionBox(0, 0.5, 0.5, 0.1, 0.1), DetectionBox(0, 0.25, 0.25, 0.1, 0.1)]
+        obs, diags = locate_nodes_from_disparity(boxes, self.rig, disp)
+        assert len(obs) == 1 and obs[0].source_box is boxes[1]
+        assert diags == ["box 0: no valid disparity at node pixel"]
+
+    def test_map_must_match_camera(self):
+        with pytest.raises(SizeMismatch):
+            locate_nodes_from_disparity([], self.rig, np.ones((10, 10)))

@@ -12,14 +12,13 @@ from rebartie.geometry import (
     transform_point,
 )
 from rebartie.metrics import compute_sai, match_nodes
-from rebartie.nodes import locate_nodes, parse_yolo_labels
+from rebartie.nodes import locate_nodes, parse_yolo_labels, write_yolo_labels
 from rebartie.planes import RansacParams, detect_parallel_planes
 from rebartie.scene import (
     GridSpec,
     _rod_pixel_box,
     _rods,
     default_rig,
-    emit_ground_truth_labels,
     generate_grid_cloud,
     read_grid_spec,
     render_disparity,
@@ -276,12 +275,12 @@ class TestSynthStereoPair:
 class TestGroundTruthLabels:
     def test_label_count(self):
         _, truth = generate_grid_cloud(small_spec(), RIG)
-        text = emit_ground_truth_labels(truth, RIG.camera)
+        text = write_yolo_labels(truth.labels)
         assert len(text.strip().splitlines()) == 9
 
     def test_parse_round_trip_centers(self):
         _, truth = generate_grid_cloud(GridSpec(), RIG)
-        text = emit_ground_truth_labels(truth, RIG.camera)
+        text = write_yolo_labels(truth.labels)
         boxes = parse_yolo_labels(text)
         pix = project(RIG.camera, truth.nodes)
         for box, (u, v) in zip(boxes, pix):
