@@ -142,10 +142,14 @@ def _cmd_nodes(args):
 def _cmd_tie(args):
     cfg = _config_from_args(args)
     ties = framesmod.read_tie_points(args.ties)
-    host, _, port = args.server.partition(":")
-    if not port:
-        raise ParseError(0, "server must be host:port")
-    client = robot.RobotClient(host, int(port))
+    host, _, port_text = args.server.partition(":")
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = 0
+    if not 0 < port < 65536:
+        raise ParseError(0, "server must be host:port with a port in 1-65535")
+    client = robot.RobotClient(host, port)
     try:
         report = robot.execute_sequence(ties, client, policy=cfg.tie_policy)
     finally:

@@ -4,13 +4,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BadParameter, ParseError, TooFewPoints
 
 # Rows formatted per write call: about 100 kB of text at a time, so a
 # large cloud is never held as one string.
 _WRITE_BLOCK_ROWS = 4096
+
+# Points per SOR kNN query: with k = 16 the query returns about 18 MB of
+# distances and indices per block, where the whole 727k-point stereo cloud
+# at once would take about 200 MB.
+_SOR_QUERY_ROWS = 65536
 
 
 @dataclass
@@ -55,10 +59,20 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0):
     n = len(cloud)
     if n <= k:
         raise TooFewPoints(f"cloud of size {n} needs more than k={k} points")
-    tree = cKDTree(cloud.points)
-    # k+1 because the query returns each point itself at distance zero
-    dists, _ = tree.query(cloud.points, k=k + 1)
-    mean_dists = dists[:, 1:].mean(axis=1)
+    # imported here: scipy.spatial adds about 0.2 s to every subcommand's
+    # start-up, and no other stage needs it
+    from scipy.spatial import cKDTree
+
+    # The kNN distances are exact, so the tree's shape, the threads the
+    # query runs on and the blocks it is split into cannot change them; the
+    # unbalanced, non-compact tree is the quicker one to build. k+1 because
+    # the query returns each point itself at distance zero.
+    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+    mean_dists = np.empty(n)
+    for start in range(0, n, _SOR_QUERY_ROWS):
+        block = cloud.points[start : start + _SOR_QUERY_ROWS]
+        dists, _ = tree.query(block, k=k + 1, workers=-1)
+        mean_dists[start : start + len(block)] = dists[:, 1:].mean(axis=1)
     mu = mean_dists.mean()
     sigma = mean_dists.std()
     keep = np.flatnonzero(mean_dists <= mu + sigma_mult * sigma)
@@ -77,10 +91,16 @@ def voxel_downsample(cloud, voxel_size=0.005):
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)), cloud.frame)
     keys = np.floor(cloud.points / voxel_size).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3))
-    np.add.at(sums, inverse, cloud.points)
-    counts = np.bincount(inverse, minlength=uniq.shape[0])
+    # stable sort by (ix, iy, iz): each voxel's points form one run, still
+    # in input order, so bincount sums them in the order they came in
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    voxel = np.cumsum(starts) - 1
+    counts = np.bincount(voxel)
+    pts = cloud.points[order]
+    sums = np.stack([np.bincount(voxel, weights=pts[:, a]) for a in range(3)], axis=1)
     return PointCloud(sums / counts[:, None], cloud.frame)
 
 

@@ -106,7 +106,10 @@ class RobotClient:
     """Blocking request/response client; one in-flight command."""
 
     def __init__(self, host, port, timeout=10.0):
-        self.sock = socket.create_connection((host, port), timeout=timeout)
+        try:
+            self.sock = socket.create_connection((host, port), timeout=timeout)
+        except OSError as e:
+            raise ConnectionLost(f"cannot connect to {host}:{port}: {e}") from e
         self.reader = self.sock.makefile("r", encoding="utf-8", newline="\n")
 
     def send(self, cmd):

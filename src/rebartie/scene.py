@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloud import PointCloud
 from .config import PipelineConfig, parse_keyvalues
-from .errors import ParseError
+from .errors import BadParameter, ParseError
 from .geometry import (
     Plane,
     RigidTransform,
@@ -350,7 +350,9 @@ def emit_ground_truth_boxes(truth, cam):
     boxes = []
     for u, v in pix:
         if not (0 <= u < cam.width and 0 <= v < cam.height):
-            raise ValueError(f"node projects outside the image at ({u:.1f}, {v:.1f})")
+            raise BadParameter(
+                f"node projects outside the image at ({u:.1f}, {v:.1f})"
+            )
         boxes.append(
             DetectionBox(0, u / cam.width, v / cam.height, _BOX_SIZE, _BOX_SIZE)
         )

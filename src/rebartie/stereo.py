@@ -18,23 +18,33 @@ INVALID = -1.0
 UNIQUENESS_RATIO = 0.95
 
 
-def _block_sums(values, radius):
-    """Exact (2r+1)^2 block sums for fully supported pixels.
+# Rows of output per band: a band's matcher state (five int32 arrays of
+# band x width) stays in cache across the disparity loop.
+_BAND_ROWS = 16
 
-    Returns an array of shape (h - 2r, w - 2r): the sum of the block
-    centered at each interior pixel.
+
+def _box_sums(values, radius, rows):
+    """Sums over every full (2r+1)^2 block of ``values`` ((rows + 2r) x m).
+
+    Returns a (rows, m - 2r) array, element [i, j] being the sum of the
+    block whose top-left corner is [i, j].
     """
-    h, w = values.shape
-    s = np.zeros((h + 1, w + 1), dtype=np.float64)
-    np.cumsum(values, axis=0, out=s[1:, 1:])
-    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
     size = 2 * radius + 1
-    return (
-        s[size:, size:]
-        - s[:-size, size:]
-        - s[size:, :-size]
-        + s[:-size, :-size]
-    )
+    cols = values.shape[1] - 2 * radius
+    vertical = values[0:rows].copy()
+    for k in range(1, size):
+        vertical += values[k : k + rows]
+    sums = vertical[:, 0:cols].copy()
+    for k in range(1, size):
+        sums += vertical[:, k : k + cols]
+    return sums
+
+
+def _as_float(costs, unset):
+    """Integer costs as float64, the ``unset`` sentinel as inf."""
+    out = costs.astype(np.float64)
+    out[costs == unset] = np.inf
+    return out
 
 
 def block_match_disparity(left, right, block_radius=2, max_disparity=64):
@@ -45,59 +55,81 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     block shifted by d, refined by a parabola fit over the neighboring
     costs. Pixels without at least two supported candidates, or whose best
     SAD is >= 0.95x the second best, are marked invalid.
+
+    The images are uint8, so every SAD is an exact integer. Rows are matched
+    in bands of _BAND_ROWS. Candidate d is supported at columns
+    [d + r, w - r), so each pixel's supported candidates are d = 0 up to a
+    limit set by its column, and the loop over d touches only those.
     """
     left = np.asarray(left)
     right = np.asarray(right)
     if left.shape != right.shape:
         raise SizeMismatch(f"left {left.shape} vs right {right.shape}")
+    if left.dtype != np.uint8 or right.dtype != np.uint8:
+        raise BadParameter("stereo images must be uint8")
     if block_radius < 1:
         raise BadParameter("block_radius must be >= 1")
     if max_disparity < 1:
         raise BadParameter("max_disparity must be >= 1")
     h, w = left.shape
     r = block_radius
-    lf = left.astype(np.float64)
-    rf = right.astype(np.float64)
+    size = 2 * r + 1
+    disp = np.full((h, w), INVALID)
+    top = min(max_disparity, w - size)  # the last d any column supports
+    if top < 1 or h < size:
+        return disp  # no pixel has two supported candidates
 
-    inf = np.inf
-    best = np.full((h, w), inf)
-    second = np.full((h, w), inf)
-    best_d = np.full((h, w), -1, dtype=np.int32)
-    c_minus = np.full((h, w), inf)
-    c_plus = np.full((h, w), inf)
-    prev = np.full((h, w), inf)
-    n_support = np.zeros((h, w), dtype=np.int32)
+    cost_type = np.int32 if 255 * size * size < np.iinfo(np.int32).max else np.int64
+    unset = np.iinfo(cost_type).max  # above every SAD: the "inf" cost
+    lf = left.astype(cost_type)
+    rf = right.astype(cost_type)
+    cols = w - 2 * r  # state column j is image column j + r
+    n_support = np.minimum(np.arange(cols), top) + 1
 
-    for d in range(max_disparity + 1):
-        if w - d < 2 * r + 1:
-            break
-        cost = np.full((h, w), inf)
-        diff = np.abs(lf[:, d:] - rf[:, : w - d])
-        cost[r : h - r, d + r : w - r] = _block_sums(diff, r)
-        supported = np.isfinite(cost)
-        n_support += supported
+    for y0 in range(r, h - r, _BAND_ROWS):
+        y1 = min(y0 + _BAND_ROWS, h - r)
+        rows = y1 - y0
+        band_l = lf[y0 - r : y1 + r]
+        band_r = rf[y0 - r : y1 + r]
+        best = np.full((rows, cols), unset, cost_type)
+        second = np.full((rows, cols), unset, cost_type)
+        best_d = np.full((rows, cols), -1, dtype=np.int32)
+        c_minus = np.full((rows, cols), unset, cost_type)
+        c_plus = np.full((rows, cols), unset, cost_type)
+        prev = None
+        for d in range(top + 1):
+            # cost[:, j] is candidate d at state column d + j, and
+            # prev[:, j + 1] is candidate d - 1 at the same column
+            cost = _box_sums(np.abs(band_l[:, d:] - band_r[:, : w - d]), r, rows)
+            b = best[:, d:]
+            better = cost < b  # strict: a tie keeps the lower d
+            cp = c_plus[:, d:]
+            np.copyto(cp, cost, where=best_d[:, d:] == d - 1)
+            cp[better] = unset
+            # second >= best always, so this is where(better, best, min(second, cost))
+            s = second[:, d:]
+            np.minimum(s, np.maximum(b, cost), out=s)
+            if prev is not None:
+                np.copyto(c_minus[:, d:], prev[:, 1:], where=better)
+            np.copyto(best_d[:, d:], d, where=better)
+            np.minimum(b, cost, out=b)
+            prev = cost
 
-        better = cost < best
-        fill_plus = ~better & (best_d == d - 1) & supported
-        c_plus[fill_plus] = cost[fill_plus]
-        c_plus[better] = inf
-        second = np.where(better, best, np.minimum(second, cost))
-        c_minus = np.where(better, prev, c_minus)
-        best_d = np.where(better, d, best_d)
-        best = np.where(better, cost, best)
-        prev = cost
+        best_f = _as_float(best, unset)
+        c_minus_f = _as_float(c_minus, unset)
+        c_plus_f = _as_float(c_plus, unset)
+        valid = (n_support >= 2) & (best_f < UNIQUENESS_RATIO * _as_float(second, unset))
+        out = np.where(valid, best_d.astype(np.float64), INVALID)
 
-    valid = (n_support >= 2) & np.isfinite(best) & (best < UNIQUENESS_RATIO * second)
-    disp = np.where(valid, best_d.astype(np.float64), INVALID)
-
-    # parabola fit over (d-1, d, d+1) where both neighbors were evaluated
-    refine = valid & np.isfinite(c_minus) & np.isfinite(c_plus)
-    with np.errstate(invalid="ignore"):
-        denom = c_minus - 2.0 * best + c_plus
-        refine &= denom > 0
-        shift = np.zeros((h, w))
-        np.divide(0.5 * (c_minus - c_plus), denom, out=shift, where=refine)
-    disp[refine] += np.clip(shift[refine], -0.5, 0.5)
+        # parabola fit over (d-1, d, d+1) where both neighbors were evaluated
+        refine = valid & np.isfinite(c_minus_f) & np.isfinite(c_plus_f)
+        with np.errstate(invalid="ignore"):
+            denom = c_minus_f - 2.0 * best_f + c_plus_f
+            refine &= denom > 0
+            shift = np.zeros((rows, cols))
+            np.divide(0.5 * (c_minus_f - c_plus_f), denom, out=shift, where=refine)
+        out[refine] += np.clip(shift[refine], -0.5, 0.5)
+        disp[y0:y1, r : w - r] = out
     return disp
 
 

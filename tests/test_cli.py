@@ -1,8 +1,13 @@
+import socket
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rebartie
 from rebartie import pnm, scene
 from rebartie.cli import main
 from rebartie.cloud import PointCloud, write_ply
@@ -277,6 +282,54 @@ class TestErrors:
             main(["planes"])  # missing required args
         assert exc.value.code == 1
         capsys.readouterr()
+
+    def test_nodes_off_image_synth_exit_1(self, tmp_path, capsys):
+        spec = tmp_path / "scene.txt"
+        spec.write_text("spacing_x = 0.6\nspacing_z = 0.6\n")
+        rc = main(["synth", str(spec), "--out", str(tmp_path / "b")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("synth: BadParameter: node projects outside the image")
+        assert "Traceback" not in err
+
+    def test_tie_non_numeric_port_exit_1(self, tmp_path, capsys):
+        ties = tmp_path / "ties.txt"
+        ties.write_text("0 0 0 1.2\n")
+        rc = main([
+            "tie", str(ties), "127.0.0.1:abc",
+            "--report-out", str(tmp_path / "r.txt"), "--metrics-out", str(tmp_path / "m.txt"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("tie: ParseError: line 0: server must be host:port")
+        assert "Traceback" not in err
+
+    def test_tie_without_listener_exit_2(self, tmp_path, capsys):
+        ties = tmp_path / "ties.txt"
+        ties.write_text("0 0 0 1.2\n")
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        rc = main([
+            "tie", str(ties), f"127.0.0.1:{port}",
+            "--report-out", str(tmp_path / "r.txt"), "--metrics-out", str(tmp_path / "m.txt"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"robot-link: ConnectionLost: cannot connect to 127.0.0.1:{port}")
+        assert "Traceback" not in err
+        assert not (tmp_path / "r.txt").exists()
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial slows every subcommand's start-up; only SOR needs it
+    src = Path(rebartie.__file__).resolve().parents[1]
+    code = "import sys, rebartie.cli; print('scipy.spatial' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 # One out-of-range value per config key that has a rule: (key, the

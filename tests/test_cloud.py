@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from rebartie import cloud as cloudmod
 from rebartie.cloud import (
     PointCloud,
     read_ply,
@@ -125,6 +127,108 @@ class TestVoxelDownsample:
         assert np.allclose(out.points[0], [1.0, 0.0, 0.0])
         keys = np.floor(out.points / 1.0)
         assert keys[0, 0] == 1  # exactly on the boundary: higher index
+
+
+def reference_sor(cloud, k, sigma_mult):
+    """SOR on the balanced, compact, single-threaded tree it used before;
+    the bit oracle."""
+    dists, _ = cKDTree(cloud.points).query(cloud.points, k=k + 1)
+    mean_dists = dists[:, 1:].mean(axis=1)
+    keep = np.flatnonzero(mean_dists <= mean_dists.mean() + sigma_mult * mean_dists.std())
+    return cloud.take(keep)
+
+
+def reference_voxel(cloud, voxel_size):
+    """Voxel binning by np.unique and np.add.at, as it was; the bit oracle."""
+    if len(cloud) == 0:
+        return PointCloud(np.empty((0, 3)), cloud.frame)
+    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    sums = np.zeros((uniq.shape[0], 3))
+    np.add.at(sums, inverse, cloud.points)
+    counts = np.bincount(inverse, minlength=uniq.shape[0])
+    return PointCloud(sums / counts[:, None], cloud.frame)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestSorMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 3000))
+        pts = rng.normal(0, 10 ** rng.uniform(-3, 1), (n, 3))
+        prov = rng.integers(0, 1000, (n, 2))
+        cloud = PointCloud(pts, provenance=prov)
+        k = int(rng.integers(1, 20))
+        out = statistical_outlier_removal(cloud, k=k, sigma_mult=1.0)
+        ref = reference_sor(cloud, k, 1.0)
+        assert same_bits(out.points, ref.points)
+        assert np.array_equal(out.provenance, ref.provenance)
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_query_blocks_do_not_change_survivors(self, rng, monkeypatch, block_rows):
+        pts = rng.normal(size=(500, 3))
+        pts[::50] *= 8.0
+        cloud = PointCloud(pts, provenance=np.arange(1000).reshape(500, 2))
+        monkeypatch.setattr(cloudmod, "_SOR_QUERY_ROWS", block_rows)
+        out = statistical_outlier_removal(cloud, k=6, sigma_mult=1.0)
+        ref = reference_sor(cloud, 6, 1.0)
+        assert same_bits(out.points, ref.points)
+        assert np.array_equal(out.provenance, ref.provenance)
+
+    def test_duplicate_points_and_provenance_in_lockstep(self, rng):
+        base = np.round(rng.uniform(-1, 1, (300, 3)), 1)  # a coarse lattice
+        pts = np.vstack([base, base[:150], [[9.0, 9.0, 9.0]] * 3])
+        prov = np.arange(2 * len(pts)).reshape(-1, 2)
+        cloud = PointCloud(pts, provenance=prov)
+        out = statistical_outlier_removal(cloud, k=8, sigma_mult=0.5)
+        ref = reference_sor(cloud, 8, 0.5)
+        assert 0 < len(out) < len(pts)
+        assert same_bits(out.points, ref.points)
+        assert np.array_equal(out.provenance, ref.provenance)
+        # each survivor still carries the row its point came from
+        rows = out.provenance[:, 0] // 2
+        assert np.array_equal(out.points, pts[rows])
+
+
+class TestVoxelMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5000))
+        pts = rng.normal(0, 10 ** rng.uniform(-2, 1), (n, 3)) + rng.normal(0, 3, 3)
+        if seed % 2:
+            pts = np.round(pts, 2)  # points on voxel boundaries
+        voxel_size = 10 ** rng.uniform(-3, 0)
+        out = voxel_downsample(PointCloud(pts), voxel_size)
+        assert same_bits(out.points, reference_voxel(PointCloud(pts), voxel_size).points)
+
+    def test_negative_coordinates(self, rng):
+        pts = rng.uniform(-3.0, -0.001, (2000, 3))
+        pts[::3, 1] *= -1
+        out = voxel_downsample(PointCloud(pts), 0.25)
+        assert same_bits(out.points, reference_voxel(PointCloud(pts), 0.25).points)
+
+    def test_one_voxel(self, rng):
+        pts = rng.uniform(0.2, 0.3, (500, 3))
+        out = voxel_downsample(PointCloud(pts), 1.0)
+        assert len(out) == 1
+        assert same_bits(out.points, reference_voxel(PointCloud(pts), 1.0).points)
+
+    def test_empty_cloud(self):
+        out = voxel_downsample(PointCloud(np.empty((0, 3))), 0.1)
+        assert same_bits(out.points, reference_voxel(PointCloud(np.empty((0, 3))), 0.1).points)
+
+    def test_range_of_a_million_voxels(self, rng):
+        pts = rng.uniform(-5e5, 5e5, (4000, 3))
+        pts[:1000] = np.round(pts[:1000] / 1e5) * 1e5  # shared far-apart voxels
+        keys = np.floor(pts)
+        assert keys.max() - keys.min() > 9e5
+        out = voxel_downsample(PointCloud(pts), 1.0)
+        assert same_bits(out.points, reference_voxel(PointCloud(pts), 1.0).points)
 
 
 class TestPlyIO:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from rebartie.errors import NonPositiveDisparity, ParseError, SizeMismatch
+from rebartie.errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 from rebartie.geometry import CameraModel, StereoRig, project
-from rebartie.scene import GridSpec, render_disparity
+from rebartie.scene import GridSpec, render_disparity, synth_stereo_pair
 from rebartie.stereo import (
     INVALID,
+    UNIQUENESS_RATIO,
     block_match_disparity,
     disparity_to_cloud,
     disparity_to_depth,
@@ -55,6 +56,128 @@ class TestBlockMatch:
         valid = disp >= 0
         assert (disp[valid] <= 9.0).all()
         assert (disp[~valid] == INVALID).all()
+
+
+    def test_non_uint8_images_rejected(self):
+        img = np.zeros((10, 10), dtype=np.int64)
+        with pytest.raises(BadParameter, match="stereo images must be uint8"):
+            block_match_disparity(img, img, 1, 5)
+
+
+def reference_block_sums(values, radius):
+    """Exact (2r+1)^2 block sums over a float64 summed-area table."""
+    h, w = values.shape
+    s = np.zeros((h + 1, w + 1), dtype=np.float64)
+    np.cumsum(values, axis=0, out=s[1:, 1:])
+    np.cumsum(s[1:, 1:], axis=1, out=s[1:, 1:])
+    size = 2 * radius + 1
+    return s[size:, size:] - s[:-size, size:] - s[size:, :-size] + s[:-size, :-size]
+
+
+def reference_block_match(left, right, block_radius, max_disparity):
+    """The full-frame float64 matcher the banded integer one replaced; the
+    bit oracle."""
+    h, w = left.shape
+    r = block_radius
+    lf = left.astype(np.float64)
+    rf = right.astype(np.float64)
+    inf = np.inf
+    best = np.full((h, w), inf)
+    second = np.full((h, w), inf)
+    best_d = np.full((h, w), -1, dtype=np.int32)
+    c_minus = np.full((h, w), inf)
+    c_plus = np.full((h, w), inf)
+    prev = np.full((h, w), inf)
+    n_support = np.zeros((h, w), dtype=np.int32)
+    for d in range(max_disparity + 1):
+        if w - d < 2 * r + 1:
+            break
+        cost = np.full((h, w), inf)
+        diff = np.abs(lf[:, d:] - rf[:, : w - d])
+        cost[r : h - r, d + r : w - r] = reference_block_sums(diff, r)
+        supported = np.isfinite(cost)
+        n_support += supported
+        better = cost < best
+        fill_plus = ~better & (best_d == d - 1) & supported
+        c_plus[fill_plus] = cost[fill_plus]
+        c_plus[better] = inf
+        second = np.where(better, best, np.minimum(second, cost))
+        c_minus = np.where(better, prev, c_minus)
+        best_d = np.where(better, d, best_d)
+        best = np.where(better, cost, best)
+        prev = cost
+    valid = (n_support >= 2) & np.isfinite(best) & (best < UNIQUENESS_RATIO * second)
+    disp = np.where(valid, best_d.astype(np.float64), INVALID)
+    refine = valid & np.isfinite(c_minus) & np.isfinite(c_plus)
+    with np.errstate(invalid="ignore"):
+        denom = c_minus - 2.0 * best + c_plus
+        refine &= denom > 0
+        shift = np.zeros((h, w))
+        np.divide(0.5 * (c_minus - c_plus), denom, out=shift, where=refine)
+    disp[refine] += np.clip(shift[refine], -0.5, 0.5)
+    return disp
+
+
+def assert_matcher_matches_reference(left, right, block_radius, max_disparity):
+    fast = block_match_disparity(left, right, block_radius, max_disparity)
+    ref = reference_block_match(left, right, block_radius, max_disparity)
+    assert fast.shape == ref.shape
+    assert np.array_equal(fast.view(np.int64), ref.view(np.int64))
+    return fast
+
+
+class TestBlockMatchMatchesReference:
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_textured_shift(self, rng, radius):
+        left, right = shifted_pair(rng, shape=(45, 90), shift=5)
+        disp = assert_matcher_matches_reference(left, right, radius, 12)
+        assert (disp >= 0).any()
+
+    @pytest.mark.parametrize("radius", [1, 2, 3, 4])
+    def test_search_past_the_image_width(self, rng, radius):
+        left, right = shifted_pair(rng, shape=(23, 30), shift=3)
+        w = left.shape[1]
+        for max_disparity in (w - 2 * radius - 1, w - 2 * radius, w + 7):
+            assert_matcher_matches_reference(left, right, radius, max_disparity)
+
+    @pytest.mark.parametrize("shape", [(4, 40), (40, 4), (5, 6), (6, 5), (1, 1), (0, 9)])
+    def test_images_smaller_than_a_block(self, rng, shape):
+        left = rng.integers(0, 256, shape, dtype=np.uint8)
+        right = rng.integers(0, 256, shape, dtype=np.uint8)
+        disp = assert_matcher_matches_reference(left, right, 2, 8)
+        h, w = shape
+        if h < 5 or w < 6:  # no block, or no pixel with two candidate blocks
+            assert (disp == INVALID).all()
+
+    @pytest.mark.parametrize("levels", [(128, 128), (0, 255), (255, 0)])
+    def test_constant_images_tie_everywhere(self, levels):
+        left = np.full((30, 50), levels[0], dtype=np.uint8)
+        right = np.full((30, 50), levels[1], dtype=np.uint8)
+        disp = assert_matcher_matches_reference(left, right, 2, 10)
+        assert (disp == INVALID).all()
+
+    @pytest.mark.parametrize("height", [2 * 2 + 1, 16 + 4, 16 + 5, 3 * 16 + 4 + 7])
+    def test_heights_off_the_band_size(self, rng, height):
+        left, right = shifted_pair(rng, shape=(height, 70), shift=4)
+        assert_matcher_matches_reference(left, right, 2, 9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_random_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        h, w = int(rng.integers(1, 60)), int(rng.integers(1, 80))
+        radius = int(rng.integers(1, 5))
+        levels = int(rng.choice([2, 4, 256]))  # few levels: many tied SADs
+        left = rng.integers(0, levels, (h, w), dtype=np.uint8)
+        right = np.roll(left, int(rng.integers(0, 8)), axis=1)
+        right[rng.random((h, w)) < 0.2] = rng.integers(0, levels)
+        assert_matcher_matches_reference(left, right, radius, int(rng.integers(1, w + 5)))
+
+    def test_rendered_grid_pair(self):
+        rig = StereoRig(CameraModel(175.0, 175.0, 160.0, 90.0, 320, 180), 0.06)
+        spec = GridSpec()
+        left, right = synth_stereo_pair(spec, render_disparity(spec, rig))
+        disp = assert_matcher_matches_reference(left, right, 2, 16)
+        assert (disp >= 0).mean() > 0.5
 
 
 class TestDisparityToDepth:
