@@ -199,9 +199,9 @@ def _cmd_synth(args):
     cfg = _config_from_args(args)
     spec = scene.read_grid_spec(args.scene_spec) if args.scene_spec else scene.GridSpec()
     rig = cfg.rig()
+    pc, truth = scene.generate_grid_cloud(spec, rig)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    pc, truth = scene.generate_grid_cloud(spec, rig)
     disparity = scene.render_disparity(spec, rig)
     cloudmod.write_ply(out / "cloud.ply", pc)
     stereo.write_disparity(out / "disparity.txt", disparity)

@@ -2,7 +2,6 @@
 background removal on the RGB image."""
 
 import numpy as np
-from scipy import ndimage
 
 from .cloud import PointCloud
 from .errors import BadParameter, MissingProvenance, SizeMismatch
@@ -36,6 +35,10 @@ def rasterize_mask(selected, width, height, dilation_radius=2):
             raise ValueError("provenance pixel outside image bounds")
         mask[vs, us] = True
     if dilation_radius > 0:
+        # imported here, as in stereo.window_disparity_filter: scipy.ndimage
+        # is most of a subcommand's start-up
+        from scipy import ndimage
+
         size = 2 * dilation_radius + 1
         mask = ndimage.binary_dilation(mask, structure=np.ones((size, size), bool))
     return mask

@@ -233,6 +233,10 @@ class SimRobotServer:
         self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self.listener.bind((host, port))
         self.listener.listen(8)
+        # accept with a timeout so stop() is observed promptly; a plain
+        # close() does not wake a blocked accept on Linux. Set here, not in
+        # serve_forever, where stop() may already have closed the listener.
+        self.listener.settimeout(0.1)
         self.port = self.listener.getsockname()[1]
         self.host = host
         self._thread = None
@@ -298,12 +302,9 @@ class SimRobotServer:
     def serve_forever(self):
         """Accept connections sequentially until stopped (or QUIT, when
         stop_on_quit is set)."""
-        if self.log_path is not None:
-            self._log_file = open(self.log_path, "a")
-        # accept with a timeout so stop() is observed promptly; a plain
-        # close() does not wake a blocked accept on Linux
-        self.listener.settimeout(0.1)
         try:
+            if self.log_path is not None:
+                self._log_file = open(self.log_path, "a")
             while not self._stopped.is_set():
                 try:
                     conn, _ = self.listener.accept()

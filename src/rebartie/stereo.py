@@ -6,7 +6,6 @@ pixels (-1 in files).
 """
 
 import numpy as np
-from scipy import ndimage
 
 from .cloud import PointCloud, parse_float_rows
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
@@ -175,6 +174,10 @@ def window_disparity_filter(disp, window=31, delta=3.0):
     disp = np.asarray(disp, dtype=float)
     valid = disp >= 0
     padded = np.where(valid, disp, -np.inf)
+    # imported here: scipy.ndimage is most of a subcommand's start-up, and
+    # only this filter and the plane mask's dilation use it
+    from scipy import ndimage
+
     local_max = ndimage.maximum_filter(
         padded, size=window, mode="constant", cval=-np.inf
     )

@@ -291,6 +291,7 @@ class TestErrors:
         assert rc == 1
         assert err.startswith("synth: BadParameter: node projects outside the image")
         assert "Traceback" not in err
+        assert not (tmp_path / "b").exists()  # the rejected spec leaves no bundle
 
     def test_tie_non_numeric_port_exit_1(self, tmp_path, capsys):
         ties = tmp_path / "ties.txt"
@@ -321,15 +322,20 @@ class TestErrors:
         assert not (tmp_path / "r.txt").exists()
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial slows every subcommand's start-up; only SOR needs it
+def test_imports_load_no_scipy():
+    # SciPy is most of a subcommand's start-up; only the stages that call it
+    # (window filter, SOR, mask dilation) import it, when they run
     src = Path(rebartie.__file__).resolve().parents[1]
-    code = "import sys, rebartie.cli; print('scipy.spatial' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "False\n"
+    for module in ("rebartie", "rebartie.cli", "rebartie.robot"):
+        code = (
+            f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n", module
 
 
 # One out-of-range value per config key that has a rule: (key, the

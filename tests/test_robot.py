@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from rebartie import robot as robotmod
 from rebartie.errors import ConnectionLost, ProtocolError
 from rebartie.frames import TiePoint
 from rebartie.robot import (
@@ -119,6 +122,25 @@ class TestSimServerStateMachine:
             transcripts.append(outcomes)
         assert transcripts[0] == transcripts[1]
         assert True in transcripts[0] and False in transcripts[0]
+
+    def test_stop_right_after_start_closes_log(self, tmp_path, monkeypatch):
+        # stop() can close the listener before the server thread gets going;
+        # the thread must still end cleanly and close the log it opened
+        crashes, logs = [], []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+
+        def tracking_open(*args, **kwargs):
+            logs.append(open(*args, **kwargs))
+            return logs[-1]
+
+        monkeypatch.setattr(robotmod, "open", tracking_open, raising=False)
+        for _ in range(200):
+            server = start_server(log_path=str(tmp_path / "server.log"))
+            server.stop()
+            assert not server._thread.is_alive()
+        assert crashes == []
+        assert len(logs) == 200
+        assert all(f.closed for f in logs)
 
 
 class TestExecuteSequence:
