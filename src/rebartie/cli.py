@@ -17,7 +17,7 @@ from . import cloud as cloudmod
 from . import frames as framesmod
 from . import masking, metrics, nodes, pnm, robot, scene, stereo
 from . import planes as planesmod
-from .config import PipelineConfig, load_pipeline_config
+from .config import CAMERA_KEYS, RIG_KEYS, PipelineConfig, load_pipeline_config
 from .errors import INPUT_ERRORS, BadParameter, ParseError, RebarTieError
 
 
@@ -28,19 +28,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(parser):
-    parser.add_argument("--config", help="key=value config file")
-    for f in fields(PipelineConfig):
-        flag = "--" + f.name.replace("_", "-")
-        parser.add_argument(flag, dest=f.name, default=None, metavar="V")
+def _add_config_flags(parser, keys):
+    parser.add_argument("--config", help="key=value config file (any config key)")
+    for key in keys:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, metavar="V")
 
 
 def _config_from_args(args):
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in fields(PipelineConfig)
-        if getattr(args, f.name, None) is not None
-    }
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
     return load_pipeline_config(args.config, overrides)
 
 
@@ -83,7 +78,7 @@ def _cmd_planes(args):
         seed=cfg.ransac_seed,
     )
     pair = planesmod.detect_parallel_planes(pc, params)
-    planesmod.write_plane_pair(args.out, pair, frame=pc.frame)
+    planesmod.write_plane_pair(args.out, pair)
     n = pair.normal
     print(
         f"planes: normal ({n[0]:.4f}, {n[1]:.4f}, {n[2]:.4f}), "
@@ -96,7 +91,7 @@ def _cmd_planes(args):
 def _cmd_mask(args):
     cfg = _config_from_args(args)
     pc = cloudmod.read_ply(args.cloud)
-    pair, _frame = planesmod.read_plane_pair(args.planes)
+    pair = planesmod.read_plane_pair(args.planes)
     image = pnm.read_ppm(args.image)
     cam = cfg.camera()
     near = pair.near_plane()
@@ -124,7 +119,7 @@ def _cmd_nodes(args):
         disp = stereo.read_disparity(args.disparity)
         observations, diags = nodes.locate_nodes_from_disparity(boxes, cfg.rig(), disp)
     elif cfg.node_depth_source == "plane":
-        pair, _frame = planesmod.read_plane_pair(args.planes)
+        pair = planesmod.read_plane_pair(args.planes)
         observations, diags = nodes.locate_nodes(boxes, cam, pair.mid_plane())
     else:
         raise BadParameter("node_depth_source must be 'plane' or 'disparity'")
@@ -213,7 +208,7 @@ def _cmd_synth(args):
     with open(out / "gt_nodes.txt", "w") as f:
         for x, y, z in truth.nodes:
             f.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
-    planesmod.write_plane_pair(out / "planes.txt", truth.planes, frame="camera")
+    planesmod.write_plane_pair(out / "planes.txt", truth.planes)
     scene.write_grid_spec(out / "scene.txt", spec)
     print(f"synth: {truth.nodes.shape[0]} ground-truth nodes -> {out}/")
     return 0
@@ -269,19 +264,20 @@ def build_parser():
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("block_radius", "max_disparity"))
     p.set_defaults(func=_cmd_disparity)
 
     p = sub.add_parser("cloud", help="disparity -> filtered point cloud (PLY)")
     p.add_argument("disparity")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("window", "delta", "sor_k", "sor_sigma_mult", "voxel_size", *RIG_KEYS))
     p.set_defaults(func=_cmd_cloud)
 
     p = sub.add_parser("planes", help="detect the two parallel rebar planes")
     p.add_argument("cloud")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("ransac_iterations", "ransac_inlier_threshold",
+                          "ransac_min_inlier_fraction", "ransac_seed"))
     p.set_defaults(func=_cmd_planes)
 
     p = sub.add_parser("mask", help="plane mask + background-filtered image")
@@ -290,7 +286,7 @@ def build_parser():
     p.add_argument("image")
     p.add_argument("--mask-out", required=True)
     p.add_argument("--filtered-out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("tau", "dilation_radius", *CAMERA_KEYS))
     p.set_defaults(func=_cmd_mask)
 
     p = sub.add_parser("nodes", help="labels -> sequenced base-frame tie points")
@@ -299,7 +295,8 @@ def build_parser():
     p.add_argument("calibration")
     p.add_argument("--out", required=True)
     p.add_argument("--disparity", help="disparity file for node_depth_source=disparity")
-    _add_config_flags(p)
+    # the plane path reads the camera, the disparity path the whole rig
+    _add_config_flags(p, ("node_depth_source", "row_tolerance", *RIG_KEYS))
     p.set_defaults(func=_cmd_nodes)
 
     p = sub.add_parser("tie", help="dispatch a tie sequence to a controller")
@@ -307,19 +304,20 @@ def build_parser():
     p.add_argument("server", help="host:port")
     p.add_argument("--report-out", required=True)
     p.add_argument("--metrics-out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("tie_policy",))
     p.set_defaults(func=_cmd_tie)
 
     p = sub.add_parser("sim-robot", help="run the simulated controller server")
     p.add_argument("--port", type=int, required=True)
     p.add_argument("--log-file")
-    _add_config_flags(p)
+    _add_config_flags(p, ("sim_center_x", "sim_center_y", "sim_center_z",
+                          "sim_radius", "sim_failure_rate", "sim_seed"))
     p.set_defaults(func=_cmd_sim_robot)
 
     p = sub.add_parser("synth", help="generate a synthetic scene bundle")
     p.add_argument("scene_spec", nargs="?", help="scene key=value file (default scene if omitted)")
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, RIG_KEYS)
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -327,7 +325,7 @@ def build_parser():
     p.add_argument("ground_truth")
     p.add_argument("--out")
     p.add_argument("--labels", action="store_true", help="inputs are YOLO label files")
-    _add_config_flags(p)
+    _add_config_flags(p, ("match_cutoff", "iou_threshold"))
     p.set_defaults(func=_cmd_eval)
 
     return parser

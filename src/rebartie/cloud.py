@@ -19,14 +19,13 @@ _SOR_QUERY_ROWS = 65536
 
 @dataclass
 class PointCloud:
-    """Metric 3-D points in a named frame.
+    """Metric 3-D points in the camera frame.
 
     provenance, when present, gives each point's source pixel (u, v) in the
     disparity map it was reconstructed from; filters keep it in lockstep.
     """
 
     points: np.ndarray
-    frame: str = "camera"
     provenance: np.ndarray | None = None
 
     def __post_init__(self):
@@ -44,7 +43,7 @@ class PointCloud:
     def take(self, indices):
         """Sub-cloud at the given indices, provenance filtered in lockstep."""
         prov = None if self.provenance is None else self.provenance[indices]
-        return PointCloud(self.points[indices], self.frame, prov)
+        return PointCloud(self.points[indices], prov)
 
 
 def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0):
@@ -89,7 +88,7 @@ def voxel_downsample(cloud, voxel_size=0.005):
     if voxel_size <= 0:
         raise BadParameter("voxel_size must be positive")
     if len(cloud) == 0:
-        return PointCloud(np.empty((0, 3)), cloud.frame)
+        return PointCloud(np.empty((0, 3)))
     keys = np.floor(cloud.points / voxel_size).astype(np.int64)
     # stable sort by (ix, iy, iz): each voxel's points form one run, still
     # in input order, so bincount sums them in the order they came in
@@ -101,7 +100,7 @@ def voxel_downsample(cloud, voxel_size=0.005):
     counts = np.bincount(voxel)
     pts = cloud.points[order]
     sums = np.stack([np.bincount(voxel, weights=pts[:, a]) for a in range(3)], axis=1)
-    return PointCloud(sums / counts[:, None], cloud.frame)
+    return PointCloud(sums / counts[:, None])
 
 
 def write_ply(path, cloud):
@@ -140,7 +139,7 @@ def parse_float_rows(lines, shape, parse_loop):
     return parse_loop()
 
 
-def read_ply(path, frame="camera"):
+def read_ply(path):
     """Read the ASCII PLY subset written by write_ply."""
     with open(path) as f:
         lines = f.read().splitlines()
@@ -179,4 +178,4 @@ def read_ply(path, frame="camera"):
         return pts
 
     body = lines[body_start : body_start + count]
-    return PointCloud(parse_float_rows(body, (count, 3), parse_loop), frame)
+    return PointCloud(parse_float_rows(body, (count, 3), parse_loop))

@@ -11,6 +11,10 @@ from pathlib import Path
 from .errors import ParseError
 from .geometry import CameraModel, StereoRig
 
+# The keys camera() and rig() read, in CameraModel's argument order.
+CAMERA_KEYS = ("fx", "fy", "cx", "cy", "image_width", "image_height")
+RIG_KEYS = (*CAMERA_KEYS, "baseline")
+
 
 @dataclass
 class PipelineConfig:
@@ -56,9 +60,7 @@ class PipelineConfig:
     sim_seed: int = 0
 
     def camera(self):
-        return CameraModel(
-            self.fx, self.fy, self.cx, self.cy, self.image_width, self.image_height
-        )
+        return CameraModel(*(getattr(self, key) for key in CAMERA_KEYS))
 
     def rig(self):
         return StereoRig(self.camera(), self.baseline)

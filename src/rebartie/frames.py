@@ -43,10 +43,7 @@ def _nearest_rotation(r):
 def _parse_rows(lines, start, label):
     rows = []
     for k in range(3):
-        lineno = start + k
-        if lineno > len(lines):
-            raise BadCalibration(f"{label}: missing row {k + 1}")
-        parts = lines[lineno - 1].split()
+        parts = lines[start + k - 1].split()
         if len(parts) != 4:
             raise BadCalibration(
                 f"{label} row {k + 1}: expected 4 values, got {len(parts)}"
@@ -55,6 +52,8 @@ def _parse_rows(lines, start, label):
             rows.append([float(v) for v in parts])
         except ValueError:
             raise BadCalibration(f"{label} row {k + 1}: non-numeric value") from None
+        if not np.all(np.isfinite(rows[-1])):
+            raise BadCalibration(f"{label} row {k + 1}: non-finite value")
     m = np.array(rows)
     return m[:, :3], m[:, 3]
 
@@ -167,6 +166,8 @@ def read_tie_points(path):
                 pos = np.array([float(v) for v in parts[1:]])
             except ValueError:
                 raise ParseError(lineno, "non-numeric field") from None
+            if not np.all(np.isfinite(pos)):
+                raise ParseError(lineno, "non-finite coordinate")
             ties.append(TiePoint(position=pos, sequence_index=idx))
     ties.sort(key=lambda t: t.sequence_index)
     return ties

@@ -55,15 +55,6 @@ class Plane:
         object.__setattr__(self, "offset", d)
 
 
-def make_plane(normal, offset):
-    """Build a Plane from an arbitrary-length normal, normalizing it."""
-    n = _vec3(normal)
-    norm = np.linalg.norm(n)
-    if norm < _SIGN_EPS:
-        raise DegenerateInput("zero-length plane normal")
-    return Plane(n / norm, float(offset) / norm)
-
-
 @dataclass(frozen=True, eq=False)
 class RigidTransform:
     """Rigid motion p -> R p + t between two labelled frames."""

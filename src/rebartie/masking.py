@@ -73,7 +73,7 @@ def attach_projected_provenance(cloud, cam):
         & (pix[:, 1] >= 0)
         & (pix[:, 1] < cam.height)
     )
-    return PointCloud(pts[ok], cloud.frame, pix[ok])
+    return PointCloud(pts[ok], pix[ok])
 
 
 def write_mask(path, mask):

@@ -168,18 +168,18 @@ def detect_parallel_planes(cloud, params):
     )
 
 
-def write_plane_pair(path, pair, frame="camera"):
+def write_plane_pair(path, pair):
     """Plane parameters file: normal, both offsets, frame; 9 digits."""
     n = pair.normal
     with open(path, "w") as f:
         f.write(f"normal {n[0]:.9g} {n[1]:.9g} {n[2]:.9g}\n")
         f.write(f"offset_near {pair.offset_near:.9g}\n")
         f.write(f"offset_far {pair.offset_far:.9g}\n")
-        f.write(f"frame {frame}\n")
+        f.write("frame camera\n")
 
 
 def read_plane_pair(path):
-    """Read a plane parameters file; returns (pair, frame).
+    """Read a plane parameters file: finite values, frame camera.
 
     Inlier counts and residuals are not serialized and come back zeroed.
     """
@@ -194,6 +194,8 @@ def read_plane_pair(path):
     for key in ("normal", "offset_near", "offset_far", "frame"):
         if key not in fields:
             raise ParseError(len(lines), f"missing '{key}' line")
+    if fields["frame"][1] != ["camera"]:
+        raise ParseError(fields["frame"][0], "frame must be camera")
     try:
         normal = np.array([float(v) for v in fields["normal"][1]])
         offset_near = float(fields["offset_near"][1][0])
@@ -202,14 +204,17 @@ def read_plane_pair(path):
         raise ParseError(fields["normal"][0], "malformed plane parameters") from None
     if normal.shape != (3,):
         raise ParseError(fields["normal"][0], "normal must have 3 components")
+    values = {"normal": normal, "offset_near": offset_near, "offset_far": offset_far}
+    for key, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ParseError(fields[key][0], f"non-finite {key}")
     norm = np.linalg.norm(normal)
     if norm == 0:
         raise ParseError(fields["normal"][0], "zero normal")
-    pair = ParallelPlanePair(
+    return ParallelPlanePair(
         normal=normal / norm,
         offset_near=offset_near / norm,
         offset_far=offset_far / norm,
         inlier_counts=(0, 0),
         rms_residuals=(0.0, 0.0),
     )
-    return pair, fields["frame"][1][0]

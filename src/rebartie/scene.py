@@ -191,7 +191,7 @@ def generate_grid_cloud(spec, rig=None):
         points = np.concatenate([surface, outliers])
 
     cam_points = transform_point(pose, points)
-    cloud = PointCloud(cam_points, "camera")
+    cloud = PointCloud(cam_points)
 
     near, far = ground_truth_planes(spec)
     # per-layer surface stats against the axis planes (grid frame y = const)

@@ -157,7 +157,7 @@ def disparity_to_cloud(rig, disp):
     y = (vs - cam.cy) / cam.fy * z
     points = np.stack([x, y, z], axis=1)
     provenance = np.stack([us, vs], axis=1)
-    return PointCloud(points, "camera", provenance)
+    return PointCloud(points, provenance)
 
 
 def window_disparity_filter(disp, window=31, delta=3.0):

@@ -1,15 +1,16 @@
+import argparse
 import socket
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rebartie
-from rebartie import pnm, scene
-from rebartie.cli import main
+from rebartie import cli, pnm, robot, scene
+from rebartie.cli import build_parser, main
 from rebartie.cloud import PointCloud, write_ply
 from rebartie.config import PipelineConfig, load_pipeline_config
 from rebartie.errors import BadParameter, ParseError
@@ -465,6 +466,133 @@ class TestBadParameter:
         capsys.readouterr()
 
 
+CAMERA = {"fx", "fy", "cx", "cy", "image_width", "image_height"}
+RIG = CAMERA | {"baseline"}
+
+# The config keys each run reads: (subcommand, mode, keys); nodes and eval
+# run once per mode.
+READS = [
+    ("disparity", None, {"block_radius", "max_disparity"}),
+    ("cloud", None, {"window", "delta", "sor_k", "sor_sigma_mult", "voxel_size"} | RIG),
+    ("planes", None, {"ransac_iterations", "ransac_inlier_threshold", "ransac_min_inlier_fraction", "ransac_seed"}),
+    ("mask", None, {"tau", "dilation_radius"} | CAMERA),
+    ("nodes", "plane", {"node_depth_source", "row_tolerance"} | CAMERA),
+    ("nodes", "disparity", {"node_depth_source", "row_tolerance"} | RIG),
+    ("tie", None, {"tie_policy"}),
+    ("sim-robot", None, {"sim_center_x", "sim_center_y", "sim_center_z", "sim_radius", "sim_failure_rate", "sim_seed"}),
+    ("synth", None, RIG),
+    ("eval", "points", {"match_cutoff"}),
+    ("eval", "labels", {"iou_threshold"}),
+]
+
+
+def _config_flags():
+    """{subcommand: the config keys it has flags for}."""
+    keys = {f.name for f in fields(PipelineConfig)}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in p._actions if a.dest in keys}
+        for name, p in sub.choices.items()
+    }
+
+
+class TestFlagsMatchReads:
+    """Each subcommand has a flag for exactly the config keys it reads."""
+
+    def _reads(self, monkeypatch, tmp_path, walkthrough, command, mode):
+        keys = {f.name for f in fields(PipelineConfig)}
+        reads = set()
+
+        class Recording(PipelineConfig):
+            def __getattribute__(self, name):
+                if name in keys:
+                    reads.add(name)
+                return super().__getattribute__(name)
+
+        load = cli.load_pipeline_config
+        monkeypatch.setattr(cli, "load_pipeline_config", lambda *a: Recording(**asdict(load(*a))))
+        bundle = walkthrough["bundle"]
+        server = None
+        if command == "tie":
+            server = SimRobotServer(SimRobotConfig(workspace_center=(0.0, 0.0, 1.2)), port=0).start()
+        if command == "sim-robot":  # serve_forever returns at once
+            serve = robot.SimRobotServer.serve_forever
+
+            def serve_stopped(sim):
+                sim.stop()
+                serve(sim)
+
+            monkeypatch.setattr(robot.SimRobotServer, "serve_forever", serve_stopped)
+        argv = _argv(command, walkthrough, tmp_path, server and server.port)
+        if mode == "disparity":
+            argv += ["--node-depth-source", "disparity", "--disparity", bundle / "disparity.txt"]
+        elif mode == "labels":
+            argv = ["eval", "--labels", bundle / "labels.txt", bundle / "labels.txt"]
+        try:
+            assert main([str(a) for a in argv]) == 0
+        finally:
+            if server is not None:
+                server.stop()
+        return reads
+
+    @pytest.mark.parametrize(
+        "command, mode, expected", READS, ids=[f"{c}-{m}" if m else c for c, m, _ in READS]
+    )
+    def test_reads_are_flags(self, monkeypatch, tmp_path, walkthrough, command, mode, expected, capsys):
+        reads = self._reads(monkeypatch, tmp_path, walkthrough, command, mode)
+        capsys.readouterr()
+        assert reads == expected
+        assert reads <= _config_flags()[command]
+
+    def test_flags_are_the_union_of_reads(self):
+        flags = _config_flags()
+        reads = {}
+        for command, _, expected in READS:
+            reads.setdefault(command, set()).update(expected)
+        assert flags == reads
+        assert sum(len(v) for v in flags.values()) == 51
+        assert len(fields(PipelineConfig)) == 31
+
+
+PLANES = "normal 0 0 1\noffset_near 1.19\noffset_far 1.21\nframe camera\n"
+CALIB = "T_base_cam\n1 0 0 0\n0 1 0 0\n0 0 1 0\nbias\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"
+
+# One rejected input file per row: (id, the subcommand, the file it reads
+# in place of the walkthrough's, the file's text, the error line).
+BAD_INPUTS = [
+    ("nan-offset", "nodes", "planes", PLANES.replace("1.19", "nan"),
+     "nodes: ParseError: line 2: non-finite offset_near"),
+    ("nan-normal", "mask", "planes", PLANES.replace("0 0 1", "0 nan 1"),
+     "mask: ParseError: line 1: non-finite normal"),
+    ("inf-offset", "mask", "planes", PLANES.replace("1.21", "inf"),
+     "mask: ParseError: line 3: non-finite offset_far"),
+    ("frame-base", "nodes", "planes", PLANES.replace("camera", "base"),
+     "nodes: ParseError: line 4: frame must be camera"),
+    ("nan-rotation", "nodes", "calib", CALIB.replace("0 1 0 0", "0 nan 0 0", 1),
+     "nodes: BadCalibration: T_base_cam row 2: non-finite value"),
+    ("nan-translation", "nodes", "calib", CALIB.replace("0 0 1 0", "0 0 1 nan", 1),
+     "nodes: BadCalibration: T_base_cam row 3: non-finite value"),
+    ("nan-tie", "tie", "ties", "0 0 0 1.2\n1 nan 0 1.2\n",
+     "tie: ParseError: line 2: non-finite coordinate"),
+]
+
+
+@pytest.mark.parametrize("command, key, text, error", [r[1:] for r in BAD_INPUTS], ids=[r[0] for r in BAD_INPUTS])
+def test_bad_input_file_exit_1(tmp_path, walkthrough, command, key, text, error, capsys):
+    files = dict(walkthrough)
+    files[key] = tmp_path / "input.txt"
+    files[key].write_text(text)
+    out = tmp_path / "out"
+    out.mkdir()
+    # tie reads its file before it connects, so no server is started
+    rc = main([str(a) for a in _argv(command, files, out, server_port=9)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == error + "\n"
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
 class TestConfig:
     def test_file_and_flag_override(self, tmp_path):
         cfg_file = tmp_path / "cfg.txt"
@@ -517,12 +645,18 @@ class TestConfig:
             window_disparity_filter(np.zeros((8, 8)), cfg.window, cfg.delta)
         assert isinstance(exc.value, ValueError)
 
-    def test_key_not_read_is_not_checked(self, tmp_path, bundle, capsys):
-        rc = main([
-            "cloud", str(bundle / "disparity.txt"), "--out", str(tmp_path / "c.ply"),
-            "--tau", "0",
-        ])
-        assert rc == 0
+    def test_flag_not_read_is_a_usage_error(self, tmp_path, bundle, capsys):
+        # cloud does not read tau, so it has no --tau flag
+        argv = ["cloud", str(bundle / "disparity.txt"), "--out", str(tmp_path / "c.ply")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tau", "0"])
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --tau 0\n")
+        assert not (tmp_path / "c.ply").exists()
+        # a config file may still hold it
+        cfg_file = tmp_path / "cfg.txt"
+        cfg_file.write_text("tau = 0\n")
+        assert main(argv + ["--config", str(cfg_file)]) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])

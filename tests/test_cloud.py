@@ -141,13 +141,13 @@ def reference_sor(cloud, k, sigma_mult):
 def reference_voxel(cloud, voxel_size):
     """Voxel binning by np.unique and np.add.at, as it was; the bit oracle."""
     if len(cloud) == 0:
-        return PointCloud(np.empty((0, 3)), cloud.frame)
+        return PointCloud(np.empty((0, 3)))
     keys = np.floor(cloud.points / voxel_size).astype(np.int64)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
     sums = np.zeros((uniq.shape[0], 3))
     np.add.at(sums, inverse, cloud.points)
     counts = np.bincount(inverse, minlength=uniq.shape[0])
-    return PointCloud(sums / counts[:, None], cloud.frame)
+    return PointCloud(sums / counts[:, None])
 
 
 def same_bits(a, b):
@@ -234,7 +234,7 @@ class TestVoxelMatchesReference:
 class TestPlyIO:
     def test_round_trip(self, tmp_path, rng):
         pts = rng.normal(size=(40, 3))
-        cloud = PointCloud(pts, frame="camera")
+        cloud = PointCloud(pts)
         path = tmp_path / "cloud.ply"
         write_ply(path, cloud)
         back = read_ply(path)
@@ -291,7 +291,7 @@ def reference_write_ply(path, cloud):
             f.write(f"{x:.6g} {y:.6g} {z:.6g}\n")
 
 
-def reference_read_ply(path, frame="camera"):
+def reference_read_ply(path):
     """The per-line loop the PLY reader replaced; the value and error oracle."""
     with open(path) as f:
         lines = f.read().splitlines()
@@ -325,7 +325,7 @@ def reference_read_ply(path, frame="camera"):
             pts[j] = [float(v) for v in parts]
         except ValueError:
             raise ParseError(lineno, "non-numeric coordinate") from None
-    return PointCloud(pts, frame)
+    return PointCloud(pts)
 
 
 def ply_outcome(reader, path):

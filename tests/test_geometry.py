@@ -10,7 +10,6 @@ from rebartie.geometry import (
     compose,
     fit_plane_least_squares,
     invert,
-    make_plane,
     plane_signed_distance,
     project,
     rotation_aligning,
@@ -39,7 +38,8 @@ class TestSignedDistance:
         assert plane_signed_distance(plane, [1.0, 0.7, 2.0]) == pytest.approx(0.2)
 
     def test_point_on_plane_is_zero(self, rng):
-        plane = make_plane(rng.normal(size=3), rng.normal())
+        n = rng.normal(size=3)
+        plane = Plane(n / np.linalg.norm(n), rng.normal())
         # construct on-plane points: offset * normal + in-plane component
         for _ in range(20):
             t = rng.normal(size=3)
@@ -216,8 +216,3 @@ class TestPlaneCanonicalization:
             assert p1.offset == p2.offset
             lead = p1.normal[np.abs(p1.normal) > 1e-12][0]
             assert lead > 0
-
-    def test_make_plane_normalizes_length(self):
-        p = make_plane([0.0, 0.0, 4.0], 8.0)
-        assert np.allclose(p.normal, [0, 0, 1])
-        assert p.offset == pytest.approx(2.0)

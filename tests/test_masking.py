@@ -6,7 +6,6 @@ from rebartie.errors import BadParameter, MissingProvenance, SizeMismatch
 from rebartie.geometry import (
     CameraModel,
     Plane,
-    make_plane,
     rotation_aligning,
     transform_point,
 )
@@ -45,14 +44,13 @@ class TestSelectNearPlane:
         assert (out.points[:, 1] == 0.0).all()
 
     def test_commutes_with_alignment(self, rng):
-        plane = make_plane([1.0, 1.0, 0.2], 0.4)
+        n = np.array([1.0, 1.0, 0.2])
+        plane = Plane(n / np.linalg.norm(n), 0.4)
         pts = rng.normal(size=(200, 3))
         cloud = PointCloud(pts, provenance=np.arange(400).reshape(200, 2))
         before = select_near_plane(cloud, plane, tau=0.1)
         t = rotation_aligning(plane.normal, np.array([0.0, 1.0, 0.0]), "camera", "aligned")
-        aligned = PointCloud(
-            transform_point(t, pts), "aligned", cloud.provenance
-        )
+        aligned = PointCloud(transform_point(t, pts), cloud.provenance)
         aligned_plane = Plane(np.array([0.0, 1.0, 0.0]), plane.offset)
         after = select_near_plane(aligned, aligned_plane, tau=0.1)
         assert np.array_equal(before.provenance, after.provenance)

@@ -93,10 +93,11 @@ class TestRayPlaneIntersection:
             node_pixel_to_camera_point(CAM, 320.0, 240.0, plane)
 
     def test_point_lies_on_plane(self, rng):
-        from rebartie.geometry import make_plane, plane_signed_distance
+        from rebartie.geometry import plane_signed_distance
 
         for _ in range(50):
-            plane = make_plane(rng.normal(size=3) + [0, 0, 3.0], rng.uniform(1, 3))
+            n = rng.normal(size=3) + [0, 0, 3.0]
+            plane = Plane(n / np.linalg.norm(n), rng.uniform(1, 3))
             u = rng.uniform(0, 640)
             v = rng.uniform(0, 480)
             try:

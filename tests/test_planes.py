@@ -184,7 +184,7 @@ class TestDetectParallelPlanes:
         base = detect_parallel_planes(cloud, params)
         t = random_rigid(rng, "camera", "other")
         moved = detect_parallel_planes(
-            PointCloud(transform_point(t, cloud.points), "other"), params
+            PointCloud(transform_point(t, cloud.points)), params
         )
         expect_near = transform_plane(t, base.near_plane())
         expect_far = transform_plane(t, base.far_plane())
@@ -221,14 +221,14 @@ class TestPlanePairIO:
             rms_residuals=(0.001, 0.002),
         )
         path = tmp_path / "planes.txt"
-        write_plane_pair(path, pair, frame="camera")
-        back, frame = read_plane_pair(path)
-        assert frame == "camera"
+        write_plane_pair(path, pair)
+        back = read_plane_pair(path)
+        assert path.read_text().endswith("\nframe camera\n")
         assert np.allclose(back.normal, pair.normal)
         # file precision is 9 significant digits
         assert back.offset_near == pytest.approx(pair.offset_near, rel=1e-8)
         assert back.offset_far == pytest.approx(pair.offset_far, rel=1e-8)
         # second-generation write is byte-identical
         path2 = tmp_path / "planes2.txt"
-        write_plane_pair(path2, back, frame=frame)
+        write_plane_pair(path2, back)
         assert path.read_bytes() == path2.read_bytes()
