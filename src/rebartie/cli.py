@@ -18,7 +18,7 @@ from . import frames as framesmod
 from . import masking, metrics, nodes, pnm, robot, scene, stereo
 from . import planes as planesmod
 from .config import CAMERA_KEYS, RIG_KEYS, PipelineConfig, load_pipeline_config
-from .errors import INPUT_ERRORS, BadParameter, ParseError, RebarTieError
+from .errors import INPUT_ERRORS, ParseError, RebarTieError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,23 +112,18 @@ def _cmd_nodes(args):
     cfg = _config_from_args(args)
     boxes = nodes.parse_yolo_labels(Path(args.labels).read_text())
     calib = framesmod.read_calibration_file(args.calibration)
-    cam = cfg.camera()
-    if cfg.node_depth_source == "disparity":
-        if args.disparity is None:
-            raise ParseError(0, "node_depth_source=disparity needs --disparity")
+    if args.disparity is not None:
         disp = stereo.read_disparity(args.disparity)
         observations, diags = nodes.locate_nodes_from_disparity(boxes, cfg.rig(), disp)
-    elif cfg.node_depth_source == "plane":
-        pair = planesmod.read_plane_pair(args.planes)
-        observations, diags = nodes.locate_nodes(boxes, cam, pair.mid_plane())
     else:
-        raise BadParameter("node_depth_source must be 'plane' or 'disparity'")
+        pair = planesmod.read_plane_pair(args.planes)
+        observations, diags = nodes.locate_nodes(boxes, cfg.camera(), pair.mid_plane())
     for d in diags:
         print(f"nodes: skipped {d}", file=sys.stderr)
     cam_points = np.array([o.camera_point for o in observations]).reshape(-1, 3)
     base_points = framesmod.camera_to_base(calib, cam_points)
     base_points = framesmod.apply_tool_bias(calib, base_points)
-    ties = framesmod.sequence_ties(base_points, cfg.row_tolerance, sources=observations)
+    ties = framesmod.sequence_ties(base_points, cfg.row_tolerance)
     framesmod.write_tie_points(args.out, ties)
     print(f"nodes: {len(ties)} tie points ({len(diags)} skipped) -> {args.out}")
     return 0
@@ -229,6 +224,8 @@ def _read_points_file(path):
                 pts.append([float(v) for v in parts])
             except ValueError:
                 raise ParseError(lineno, "non-numeric coordinate") from None
+            if not np.isfinite(pts[-1]).all():
+                raise ParseError(lineno, "non-finite coordinate")
     return np.array(pts).reshape(-1, 3)
 
 
@@ -294,9 +291,9 @@ def build_parser():
     p.add_argument("planes")
     p.add_argument("calibration")
     p.add_argument("--out", required=True)
-    p.add_argument("--disparity", help="disparity file for node_depth_source=disparity")
+    p.add_argument("--disparity", help="take node depth from this disparity file, not the planes")
     # the plane path reads the camera, the disparity path the whole rig
-    _add_config_flags(p, ("node_depth_source", "row_tolerance", *RIG_KEYS))
+    _add_config_flags(p, ("row_tolerance", *RIG_KEYS))
     p.set_defaults(func=_cmd_nodes)
 
     p = sub.add_parser("tie", help="dispatch a tie sequence to a controller")

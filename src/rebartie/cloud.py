@@ -120,9 +120,10 @@ def parse_float_rows(lines, shape, parse_loop):
     """Parse whitespace-separated float rows, one row per line.
 
     numpy's C parser reads ``lines`` (exactly the rows expected) and its
-    result is kept only when it has ``shape``. Otherwise, or when it fails,
-    ``parse_loop()`` decides: the line-by-line parser that returns the array
-    or raises ParseError naming the offending line. The C parser rejects
+    result is kept only when it has ``shape`` and every value is finite.
+    Otherwise, or when it fails, ``parse_loop()`` decides: the line-by-line
+    parser that returns the array or raises ParseError naming the offending
+    line, which is also how a nan or inf is rejected. The C parser rejects
     every token ``float()`` rejects, but also some it accepts (``1_0``), and
     it skips blank lines; the loop settles both.
     """
@@ -134,7 +135,7 @@ def parse_float_rows(lines, shape, parse_loop):
     except ValueError:
         pass
     else:
-        if rows.shape == shape:
+        if rows.shape == shape and np.isfinite(rows).all():
             return rows
     return parse_loop()
 
@@ -175,6 +176,8 @@ def read_ply(path):
                 pts[j] = [float(v) for v in parts]
             except ValueError:
                 raise ParseError(lineno, "non-numeric coordinate") from None
+            if not np.isfinite(pts[j]).all():
+                raise ParseError(lineno, "non-finite coordinate")
         return pts
 
     body = lines[body_start : body_start + count]

@@ -35,9 +35,6 @@ class PipelineConfig:
     # masking
     tau: float = 0.015
     dilation_radius: int = 2
-    # node localization: "plane" intersects the detected mid-plane,
-    # "disparity" reads depth at the node pixel (needs --disparity)
-    node_depth_source: str = "plane"
     # sequencing and evaluation
     row_tolerance: float = 0.05
     match_cutoff: float = 0.05
@@ -98,9 +95,9 @@ def load_pipeline_config(path=None, overrides=None):
             raise ParseError(lineno, f"unknown config key {key!r}")
         ftype = types[key]
         try:
-            if ftype in (int, "int"):
+            if ftype is int:
                 kwargs[key] = int(val)
-            elif ftype in (float, "float"):
+            elif ftype is float:
                 kwargs[key] = float(val)
                 if not math.isfinite(kwargs[key]):
                     raise ParseError(lineno, f"non-finite value for {key}: {val!r}")

@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import BadCalibration, BadParameter, ParseError
 from .geometry import RigidTransform, transform_point
-from .nodes import NodeObservation
 
 _CALIB_TOL = 1e-6
 
@@ -26,7 +25,6 @@ class CalibrationSet:
 class TiePoint:
     position: np.ndarray
     sequence_index: int
-    source: NodeObservation | None = None
 
 
 def _nearest_rotation(r):
@@ -107,7 +105,7 @@ def apply_tool_bias(calib, target):
     return transform_point(calib.tool_bias, target)
 
 
-def sequence_ties(points, row_tolerance=0.05, sources=None):
+def sequence_ties(points, row_tolerance=0.05):
     """Order base-frame tie targets into a serpentine execution sequence.
 
     Points are grouped into rows by 1-D agglomeration (gap > row_tolerance)
@@ -135,11 +133,7 @@ def sequence_ties(points, row_tolerance=0.05, sources=None):
             inner = inner[::-1]
         sequence.extend(inner.tolist())
     return [
-        TiePoint(
-            position=pts[idx],
-            sequence_index=si,
-            source=None if sources is None else sources[idx],
-        )
+        TiePoint(position=pts[idx], sequence_index=si)
         for si, idx in enumerate(sequence)
     ]
 

@@ -45,7 +45,8 @@ def parse_yolo_labels(text):
     """Parse YOLO label text into DetectionBoxes, preserving line order.
 
     Blank lines are skipped. Raises ParseError with the 1-based line number
-    for a wrong field count, non-numeric fields, or out-of-range values.
+    for a wrong field count, non-numeric or non-finite fields, or
+    out-of-range values.
     """
     boxes = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -59,6 +60,8 @@ def parse_yolo_labels(text):
             values = [float(v) for v in parts[1:]]
         except ValueError:
             raise ParseError(lineno, "non-numeric field") from None
+        if not np.isfinite(values).all():
+            raise ParseError(lineno, "non-finite field")
         conf = values[4] if len(values) == 5 else None
         try:
             boxes.append(DetectionBox(class_id, *values[:4], conf=conf))

@@ -5,6 +5,7 @@ every point onto that normal gives scalar offsets which a two-cluster
 least-squares split separates into the near and far layers.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,6 @@ class ParallelPlanePair:
     offset_near: float
     offset_far: float
     inlier_counts: tuple
-    rms_residuals: tuple
 
     def near_plane(self):
         return Plane(self.normal, self.offset_near)
@@ -153,18 +153,15 @@ def detect_parallel_planes(cloud, params):
             f"layer offsets {offset_near:.4f} and {offset_far:.4f} are within "
             f"2x inlier threshold"
         )
-    counts = []
-    rms = []
-    for idx, off in ((near_idx, offset_near), (far_idx, offset_far)):
-        res = offsets[idx] - off
-        counts.append(int(np.count_nonzero(np.abs(res) <= params.inlier_threshold)))
-        rms.append(float(np.sqrt(np.mean(res**2))))
+    counts = tuple(
+        int(np.count_nonzero(np.abs(offsets[idx] - off) <= params.inlier_threshold))
+        for idx, off in ((near_idx, offset_near), (far_idx, offset_far))
+    )
     return ParallelPlanePair(
         normal=normal,
         offset_near=offset_near,
         offset_far=offset_far,
-        inlier_counts=(counts[0], counts[1]),
-        rms_residuals=(rms[0], rms[1]),
+        inlier_counts=counts,
     )
 
 
@@ -181,7 +178,7 @@ def write_plane_pair(path, pair):
 def read_plane_pair(path):
     """Read a plane parameters file: finite values, frame camera.
 
-    Inlier counts and residuals are not serialized and come back zeroed.
+    Inlier counts are not serialized and come back zeroed.
     """
     with open(path) as f:
         lines = f.read().splitlines()
@@ -204,17 +201,17 @@ def read_plane_pair(path):
         raise ParseError(fields["normal"][0], "malformed plane parameters") from None
     if normal.shape != (3,):
         raise ParseError(fields["normal"][0], "normal must have 3 components")
-    values = {"normal": normal, "offset_near": offset_near, "offset_far": offset_far}
-    for key, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ParseError(fields[key][0], f"non-finite {key}")
-    norm = np.linalg.norm(normal)
-    if norm == 0:
+    if not np.all(np.isfinite(normal)):
+        raise ParseError(fields["normal"][0], "non-finite normal")
+    # divide by the largest component first, so that squaring a huge or tiny
+    # normal inside the norm can neither overflow nor underflow
+    scale = float(np.abs(normal).max())
+    if scale == 0:
         raise ParseError(fields["normal"][0], "zero normal")
-    return ParallelPlanePair(
-        normal=normal / norm,
-        offset_near=offset_near / norm,
-        offset_far=offset_far / norm,
-        inlier_counts=(0, 0),
-        rms_residuals=(0.0, 0.0),
-    )
+    normal = normal / scale
+    norm = float(np.linalg.norm(normal))
+    offsets = {"offset_near": offset_near / scale / norm, "offset_far": offset_far / scale / norm}
+    for key, value in offsets.items():
+        if not math.isfinite(value):
+            raise ParseError(fields[key][0], f"non-finite {key}")
+    return ParallelPlanePair(normal=normal / norm, inlier_counts=(0, 0), **offsets)

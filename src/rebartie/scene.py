@@ -194,20 +194,14 @@ def generate_grid_cloud(spec, rig=None):
     cloud = PointCloud(cam_points)
 
     near, far = ground_truth_planes(spec)
-    # per-layer surface stats against the axis planes (grid frame y = const)
-    plane_y = (0.0, spec.layer_gap)
-    counts = []
-    rms = []
-    for layer in _near_far_layers(spec):
-        res = surface[layer_of == layer, 1] - plane_y[layer]
-        counts.append(int(res.size))
-        rms.append(float(np.sqrt(np.mean(res**2))))
     pair = ParallelPlanePair(
         normal=near.normal,
         offset_near=near.offset,
         offset_far=far.offset,
-        inlier_counts=(counts[0], counts[1]),
-        rms_residuals=(rms[0], rms[1]),
+        # the surface points sampled on each layer's rods
+        inlier_counts=tuple(
+            int(np.count_nonzero(layer_of == layer)) for layer in _near_far_layers(spec)
+        ),
     )
 
     nodes = transform_point(pose, _grid_nodes(spec))
@@ -388,6 +382,8 @@ def read_grid_spec(path):
             kwargs[name] = int(val) if name in ("rows", "cols", "seed") else float(val)
         except ValueError:
             raise ParseError(lineno, f"bad value for {name}") from None
+        if not math.isfinite(kwargs[name]):
+            raise ParseError(lineno, f"non-finite value for {name}")
     if "grid_pose" in values:
         lineno, val = values["grid_pose"]
         parts = val.split()
@@ -397,6 +393,8 @@ def read_grid_spec(path):
             m = np.array([float(v) for v in parts]).reshape(3, 4)
         except ValueError:
             raise ParseError(lineno, "non-numeric grid_pose") from None
+        if not np.isfinite(m).all():
+            raise ParseError(lineno, "non-finite grid_pose")
         try:
             kwargs["grid_pose"] = RigidTransform(m[:, :3], m[:, 3], "grid", "camera")
         except ValueError as e:

@@ -232,6 +232,8 @@ def read_disparity(path):
                 disp[i] = [float(v) for v in row]
             except ValueError:
                 raise ParseError(i + 2, "non-numeric disparity") from None
+            if not np.isfinite(disp[i]).all():
+                raise ParseError(i + 2, "non-finite disparity")
         return disp
 
     disp = parse_float_rows(lines[1 : h + 1], (h, w), parse_loop)

@@ -145,14 +145,13 @@ class TestFullChain:
 
 
 class TestNodesFromDisparity:
-    """nodes --node-depth-source disparity: depth from the node pixel's disparity."""
+    """nodes --disparity: depth from the node pixel's disparity."""
 
     def _nodes(self, bundle, calib, labels, disparity, out):
-        argv = [
+        return main([
             "nodes", str(labels), str(bundle / "planes.txt"), str(calib),
-            "--out", str(out), "--node-depth-source", "disparity",
-        ]
-        return main(argv + (["--disparity", str(disparity)] if disparity else []))
+            "--out", str(out), "--disparity", str(disparity),
+        ])
 
     @pytest.mark.parametrize("source", ["matched", "rendered"])
     def test_every_node_located_and_matched(self, tmp_path, bundle, identity_calib_file, source, capsys):
@@ -172,13 +171,6 @@ class TestNodesFromDisparity:
         assert "matched=25" in content
         assert "unmatched_predictions=0" in content and "unmatched_ground_truth=0" in content
         assert "skipped" not in capsys.readouterr().err
-
-    def test_missing_disparity_exit_1(self, tmp_path, bundle, identity_calib_file, capsys):
-        rc = self._nodes(bundle, identity_calib_file, bundle / "labels.txt", None, tmp_path / "t.txt")
-        assert rc == 1
-        assert capsys.readouterr().err.startswith(
-            "nodes: ParseError: line 0: node_depth_source=disparity needs --disparity"
-        )
 
     def test_invalid_node_pixel_skipped(self, tmp_path, bundle, identity_calib_file, capsys):
         # one more box, centered on background: the rendered map is invalid there
@@ -278,6 +270,14 @@ class TestErrors:
             "cloud: ParseError: line 3: expected 2 values, got 1"
         )
 
+    def test_non_finite_disparity_names_cloud(self, tmp_path, capsys):
+        disp = tmp_path / "d.txt"
+        disp.write_text("2 2\n1 2\n3 inf\n")
+        assert main(["cloud", str(disp), "--out", str(tmp_path / "c.ply")]) == 1
+        err = capsys.readouterr().err
+        assert err == "cloud: ParseError: line 3: non-finite disparity\n"
+        assert not (tmp_path / "c.ply").exists()
+
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["planes"])  # missing required args
@@ -293,6 +293,22 @@ class TestErrors:
         assert err.startswith("synth: BadParameter: node projects outside the image")
         assert "Traceback" not in err
         assert not (tmp_path / "b").exists()  # the rejected spec leaves no bundle
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("rows = 3\nspacing_x = nan\n", "line 2: non-finite value for spacing_x"),
+            ("layer_gap = inf\n", "line 1: non-finite value for layer_gap"),
+            ("grid_pose = 1 0 0 0  0 1 0 0  0 0 1 nan\n", "line 1: non-finite grid_pose"),
+        ],
+    )
+    def test_non_finite_scene_value_exit_1(self, tmp_path, text, error, capsys):
+        spec = tmp_path / "scene.txt"
+        spec.write_text(text)
+        rc = main(["synth", str(spec), "--out", str(tmp_path / "b")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"synth: ParseError: {error}\n"
+        assert not (tmp_path / "b").exists()
 
     def test_tie_non_numeric_port_exit_1(self, tmp_path, capsys):
         ties = tmp_path / "ties.txt"
@@ -325,18 +341,28 @@ class TestErrors:
 
 def test_imports_load_no_scipy():
     # SciPy is most of a subcommand's start-up; only the stages that call it
-    # (window filter, SOR, mask dilation) import it, when they run
+    # (window filter, SOR, mask dilation) import it, when they run. The
+    # package re-exports nothing, so the robot link loads no pipeline stage.
     src = Path(rebartie.__file__).resolve().parents[1]
-    for module in ("rebartie", "rebartie.cli", "rebartie.robot"):
+    own = {
+        "rebartie": "['rebartie']",
+        "rebartie.cli": None,
+        "rebartie.robot": "['rebartie', 'rebartie.errors', 'rebartie.robot']",
+    }
+    for module, expected in own.items():
         code = (
             f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rebartie'))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n", module
+        scipy_modules, rebartie_modules = done.stdout.splitlines()
+        assert scipy_modules == "[]", module
+        if expected is not None:
+            assert rebartie_modules == expected, module
 
 
 # One out-of-range value per config key that has a rule: (key, the
@@ -356,7 +382,6 @@ BAD_PARAMETERS = [
     ("tau", "mask", "0", "tau must be positive"),
     ("dilation_radius", "mask", "-1", "dilation_radius must be >= 0"),
     ("cy", "mask", "-1", "principal point must lie inside the image"),
-    ("node_depth_source", "nodes", "depth", "node_depth_source must be 'plane' or 'disparity'"),
     ("row_tolerance", "nodes", "0", "row_tolerance must be positive"),
     ("fx", "nodes", "0", "focal lengths must be positive"),
     ("fy", "nodes", "0", "focal lengths must be positive"),
@@ -429,7 +454,7 @@ def _argv(command, files, out, server_port=None):
 class TestBadParameter:
     def test_table_covers_every_key(self):
         keys = [row[0] for row in BAD_PARAMETERS]
-        assert len(keys) == len(set(keys)) == 25
+        assert len(keys) == len(set(keys)) == 24
         assert set(keys) | NO_RULE == {f.name for f in fields(PipelineConfig)}
         assert not set(keys) & NO_RULE
 
@@ -476,8 +501,8 @@ READS = [
     ("cloud", None, {"window", "delta", "sor_k", "sor_sigma_mult", "voxel_size"} | RIG),
     ("planes", None, {"ransac_iterations", "ransac_inlier_threshold", "ransac_min_inlier_fraction", "ransac_seed"}),
     ("mask", None, {"tau", "dilation_radius"} | CAMERA),
-    ("nodes", "plane", {"node_depth_source", "row_tolerance"} | CAMERA),
-    ("nodes", "disparity", {"node_depth_source", "row_tolerance"} | RIG),
+    ("nodes", "plane", {"row_tolerance"} | CAMERA),
+    ("nodes", "disparity", {"row_tolerance"} | RIG),
     ("tie", None, {"tie_policy"}),
     ("sim-robot", None, {"sim_center_x", "sim_center_y", "sim_center_z", "sim_radius", "sim_failure_rate", "sim_seed"}),
     ("synth", None, RIG),
@@ -525,7 +550,7 @@ class TestFlagsMatchReads:
             monkeypatch.setattr(robot.SimRobotServer, "serve_forever", serve_stopped)
         argv = _argv(command, walkthrough, tmp_path, server and server.port)
         if mode == "disparity":
-            argv += ["--node-depth-source", "disparity", "--disparity", bundle / "disparity.txt"]
+            argv += ["--disparity", bundle / "disparity.txt"]
         elif mode == "labels":
             argv = ["eval", "--labels", bundle / "labels.txt", bundle / "labels.txt"]
         try:
@@ -550,11 +575,15 @@ class TestFlagsMatchReads:
         for command, _, expected in READS:
             reads.setdefault(command, set()).update(expected)
         assert flags == reads
-        assert sum(len(v) for v in flags.values()) == 51
-        assert len(fields(PipelineConfig)) == 31
+        assert sum(len(v) for v in flags.values()) == 50
+        assert len(fields(PipelineConfig)) == 30
 
 
 PLANES = "normal 0 0 1\noffset_near 1.19\noffset_far 1.21\nframe camera\n"
+PLY_HEADER = (
+    "ply\nformat ascii 1.0\nelement vertex 2\n"
+    "property float x\nproperty float y\nproperty float z\nend_header\n"
+)
 CALIB = "T_base_cam\n1 0 0 0\n0 1 0 0\n0 0 1 0\nbias\n1 0 0 0\n0 1 0 0\n0 0 1 0\n"
 
 # One rejected input file per row: (id, the subcommand, the file it reads
@@ -574,6 +603,10 @@ BAD_INPUTS = [
      "nodes: BadCalibration: T_base_cam row 3: non-finite value"),
     ("nan-tie", "tie", "ties", "0 0 0 1.2\n1 nan 0 1.2\n",
      "tie: ParseError: line 2: non-finite coordinate"),
+    ("nan-vertex", "planes", "cloud", PLY_HEADER + "nan nan nan\n0 0 1\n",
+     "planes: ParseError: line 8: non-finite coordinate"),
+    ("nan-prediction", "eval", "ties", "0 0 0 1.2\n1 0 nan 1.2\n",
+     "eval: ParseError: line 2: non-finite coordinate"),
 ]
 
 
@@ -591,6 +624,24 @@ def test_bad_input_file_exit_1(tmp_path, walkthrough, command, key, text, error,
     assert err == error + "\n"
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+def test_huge_normal_reads_as_its_unit_normal(tmp_path, walkthrough, capsys):
+    # every number of the planes file times 1e200: the same planes
+    lines = []
+    for line in walkthrough["planes"].read_text().splitlines():
+        key, *values = line.split()
+        if key != "frame":
+            values = [repr(float(v) * 1e200) for v in values]
+        lines.append(" ".join([key, *values]) + "\n")
+    files = dict(walkthrough, planes=tmp_path / "huge.txt")
+    files["planes"].write_text("".join(lines))
+    assert main([str(a) for a in _argv("nodes", files, tmp_path)]) == 0
+    capsys.readouterr()
+    got = read_tie_points(tmp_path / "t.txt")
+    want = read_tie_points(walkthrough["ties"])
+    assert [t.sequence_index for t in got] == [t.sequence_index for t in want]
+    assert np.allclose([t.position for t in got], [t.position for t in want], rtol=0, atol=1e-12)
 
 
 class TestConfig:
@@ -628,7 +679,7 @@ class TestConfig:
             load_pipeline_config(cfg_file, {"sor_k": "eight"})
         assert exc.value.line == 0
 
-    @pytest.mark.parametrize("key", ["box_size", "sim_tolerance"])
+    @pytest.mark.parametrize("key", ["box_size", "sim_tolerance", "node_depth_source"])
     def test_removed_keys_rejected(self, tmp_path, key, capsys):
         cfg_file = tmp_path / "cfg.txt"
         cfg_file.write_text(f"{key} = 0.05\n")

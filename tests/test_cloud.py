@@ -325,6 +325,8 @@ def reference_read_ply(path):
             pts[j] = [float(v) for v in parts]
         except ValueError:
             raise ParseError(lineno, "non-numeric coordinate") from None
+        if not np.isfinite(pts[j]).all():
+            raise ParseError(lineno, "non-finite coordinate")
     return PointCloud(pts)
 
 
@@ -364,7 +366,23 @@ class TestPlyCodecMatchesReference:
         reference_write_ply(ref, PointCloud(pts))
         assert fast.read_bytes() == ref.read_bytes()
         assert fast.read_text().endswith("end_header\n-0 nan inf\n-inf 1e-300 -1e+300\n")
-        assert read_ply(fast).points.tobytes() == reference_read_ply(ref).points.tobytes()
+        # nan and inf are written as they are, but no reader takes them back
+        assert ply_outcome(read_ply, fast) == ply_outcome(reference_read_ply, ref) == (
+            "ParseError", 8, "line 8: non-finite coordinate"
+        )
+        finite = tmp_path / "finite.ply"
+        write_ply(finite, PointCloud([[-0.0, 1e-300, -1e300]]))
+        back = read_ply(finite)
+        assert back.points.tobytes() == reference_read_ply(finite).points.tobytes()
+        assert np.signbit(back.points[0, 0])
+
+    @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "c.ply"
+        path.write_text(PLY_HEADER + f"0 0 0\n1 {token} 1\n2 2 2\n")
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert str(exc.value) == "line 9: non-finite coordinate"
 
     @pytest.mark.parametrize(
         "body",

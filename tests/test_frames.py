@@ -180,13 +180,6 @@ class TestSequenceTies:
             for x, y in zip(a, b)
         )
 
-    def test_sources_carried(self, rng):
-        pts = rng.normal(size=(4, 3))
-        sources = ["a", "b", "c", "d"]
-        ties = sequence_ties(pts, row_tolerance=10.0, sources=sources)
-        for t in ties:
-            assert sources[np.flatnonzero((pts == t.position).all(axis=1))[0]] == t.source
-
 
 class TestTiePointIO:
     def test_round_trip(self, tmp_path, rng):

@@ -39,6 +39,11 @@ class TestParseLabels:
             parse_yolo_labels("0 0.5 0.5 0.1 0.2\n0 a 0.5 0.1 0.2\n")
         assert exc.value.line == 2
 
+    def test_non_finite_confidence(self):
+        with pytest.raises(ParseError) as exc:
+            parse_yolo_labels("0 0.5 0.5 0.1 0.2 0.9\n0 0.5 0.5 0.1 0.2 nan\n")
+        assert str(exc.value) == "line 2: non-finite field"
+
     def test_out_of_range(self):
         with pytest.raises(ParseError) as exc:
             parse_yolo_labels("0 1.5 0.5 0.1 0.2")

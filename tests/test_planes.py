@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rebartie.cloud import PointCloud
-from rebartie.errors import DegenerateInput, LayersTooClose, NoConsensus
+from rebartie.errors import DegenerateInput, LayersTooClose, NoConsensus, ParseError
 from rebartie.geometry import fit_plane_least_squares, transform_plane, transform_point
 from rebartie.planes import (
     ParallelPlanePair,
@@ -218,7 +218,6 @@ class TestPlanePairIO:
             offset_near=1.19012345678,
             offset_far=1.20598765432,
             inlier_counts=(100, 90),
-            rms_residuals=(0.001, 0.002),
         )
         path = tmp_path / "planes.txt"
         write_plane_pair(path, pair)
@@ -232,3 +231,25 @@ class TestPlanePairIO:
         path2 = tmp_path / "planes2.txt"
         write_plane_pair(path2, back)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_any_finite_normal_length(self, tmp_path, scale):
+        # the norm of a 1e200 normal overflows if taken directly, and that of
+        # a 1e-200 normal underflows to zero
+        path = tmp_path / "planes.txt"
+        path.write_text(
+            f"normal {scale!r} {scale!r} {scale!r}\n"
+            f"offset_near {1.19 * scale!r}\noffset_far {1.21 * scale!r}\nframe camera\n"
+        )
+        pair = read_plane_pair(path)
+        assert np.allclose(pair.normal, np.full(3, 3**-0.5))
+        assert pair.offset_near == pytest.approx(1.19 / 3**0.5)
+        assert pair.offset_far == pytest.approx(1.21 / 3**0.5)
+
+    def test_offset_beyond_float_range(self, tmp_path):
+        # a finite offset over a tiny normal: the plane is past 1.8e308 m
+        path = tmp_path / "planes.txt"
+        path.write_text("normal 0 0 1e-300\noffset_near 1.19\noffset_far 1e300\nframe camera\n")
+        with pytest.raises(ParseError) as exc:
+            read_plane_pair(path)
+        assert str(exc.value) == "line 3: non-finite offset_far"

@@ -342,6 +342,8 @@ def reference_read_disparity(path):
             disp[i] = [float(v) for v in row]
         except ValueError:
             raise ParseError(i + 2, "non-numeric disparity") from None
+        if not np.isfinite(disp[i]).all():
+            raise ParseError(i + 2, "non-finite disparity")
     disp[disp < 0] = INVALID
     return disp
 
@@ -389,9 +391,23 @@ class TestDisparityCodecMatchesReference:
         write_disparity(fast, disp)
         reference_write_disparity(ref, disp)
         assert fast.read_bytes() == ref.read_bytes() == b"6 1\n-0 nan inf -1 1e-300 -1\n"
-        back = read_disparity(fast)
-        assert back.tobytes() == reference_read_disparity(ref).tobytes()
+        # nan and inf are written as they are, but no reader takes them back
+        assert read_outcome(read_disparity, fast) == read_outcome(reference_read_disparity, ref) == (
+            "ParseError", 2, "line 2: non-finite disparity"
+        )
+        finite = tmp_path / "finite.txt"
+        write_disparity(finite, disp[:, [0, 4, 5]])
+        back = read_disparity(finite)
+        assert back.tobytes() == reference_read_disparity(finite).tobytes()
         assert np.signbit(back[0, 0])
+
+    @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "d.txt"
+        path.write_text(f"3 3\n1 2 3\n4 {token} 6\n7 8 9\n")
+        with pytest.raises(ParseError) as exc:
+            read_disparity(path)
+        assert str(exc.value) == "line 3: non-finite disparity"
 
     @pytest.mark.parametrize(
         "body",
