@@ -109,6 +109,10 @@ def _cmd_mask(args):
 
 
 def _cmd_nodes(args):
+    if args.disparity is None and args.planes is None:
+        args.usage_error("the following arguments are required: planes")
+    if args.disparity is not None and args.planes is not None:
+        args.usage_error("planes is not read with --disparity: the node depth comes from the disparity map")
     cfg = _config_from_args(args)
     boxes = nodes.parse_yolo_labels(Path(args.labels).read_text())
     calib = framesmod.read_calibration_file(args.calibration)
@@ -288,13 +292,13 @@ def build_parser():
 
     p = sub.add_parser("nodes", help="labels -> sequenced base-frame tie points")
     p.add_argument("labels")
-    p.add_argument("planes")
+    p.add_argument("planes", nargs="?", help="plane pair file (omitted with --disparity)")
     p.add_argument("calibration")
     p.add_argument("--out", required=True)
     p.add_argument("--disparity", help="take node depth from this disparity file, not the planes")
     # the plane path reads the camera, the disparity path the whole rig
     _add_config_flags(p, ("row_tolerance", *RIG_KEYS))
-    p.set_defaults(func=_cmd_nodes)
+    p.set_defaults(func=_cmd_nodes, usage_error=p.error)
 
     p = sub.add_parser("tie", help="dispatch a tie sequence to a controller")
     p.add_argument("ties")

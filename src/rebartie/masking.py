@@ -39,8 +39,10 @@ def rasterize_mask(selected, width, height, dilation_radius=2):
         # is most of a subcommand's start-up
         from scipy import ndimage
 
-        size = 2 * dilation_radius + 1
-        mask = ndimage.binary_dilation(mask, structure=np.ones((size, size), bool))
+        # a square dilation is the maximum over the square, zero outside
+        mask = ndimage.maximum_filter(
+            mask, size=2 * dilation_radius + 1, mode="constant", cval=0
+        )
     return mask
 
 

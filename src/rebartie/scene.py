@@ -242,19 +242,8 @@ def render_disparity(spec, rig):
     """
     cam = rig.camera
     pose = spec.grid_pose
-    inv_rot = pose.rotation.T
-
-    us = np.arange(cam.width)
-    vs = np.arange(cam.height)
-    uu, vv = np.meshgrid(us, vs)
-    # unnormalized ray directions with dir_z = 1, so depth Z = ray parameter t
-    dirs = np.stack(
-        [(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu, float)],
-        axis=-1,
-    )
-    # work in grid frame: origin and directions pulled back through the pose
-    origin_g = inv_rot @ (-pose.translation)
-    dirs_g = dirs @ pose.rotation  # == dirs @ inv_rot.T
+    # work in grid frame: the camera origin pulled back through the pose
+    origin_g = pose.rotation.T @ (-pose.translation)
 
     zbuf = np.full((cam.height, cam.width), np.inf)
     r2 = spec.rod_radius**2
@@ -262,9 +251,13 @@ def render_disparity(spec, rig):
         box = _rod_pixel_box(spec, cam, origin, axis, length)
         if box is None:
             continue
-        # a slice of the full-frame directions, so every pixel's arithmetic
-        # is the same whatever box it falls in
-        rod_dirs = dirs_g[box]
+        vv, uu = np.mgrid[box]
+        # unnormalized ray directions with dir_z = 1, so depth Z = ray
+        # parameter t, turned into the grid frame (row @ R == R.T @ row)
+        rod_dirs = np.stack(
+            [(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu, float)],
+            axis=-1,
+        ) @ pose.rotation
         oc = origin_g - origin
         d_axial = rod_dirs @ axis
         o_axial = float(oc @ axis)
@@ -305,28 +298,25 @@ def synth_stereo_pair(spec, disparity):
     valid = disparity >= 0
 
     rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x57E2E0]))
-    bg = rng.integers(40, 200, (h, w + _BG_DISPARITY), dtype=np.int64)
-    rod_tex = rng.integers(0, 256, (h, w), dtype=np.int64)
+    # both draws stay int64, the dtype that fixes the seeded stream
+    bg = rng.integers(40, 200, (h, w + _BG_DISPARITY), dtype=np.int64).astype(np.uint8)
+    rod_tex = rng.integers(0, 256, (h, w), dtype=np.int64)[valid]
 
-    # mild depth shading under the texture keeps the render recognizable
-    shade = np.zeros((h, w))
-    if valid.any():
-        dmin, dmax = disparity[valid].min(), disparity[valid].max()
-        span = max(dmax - dmin, 1e-9)
-        shade[valid] = (disparity[valid] - dmin) / span
     # positive disparity: content sits further left in the right view, so
     # left reads the low columns of the wide background strip and right the
     # high ones
-    left = np.where(
-        valid,
-        np.clip(0.75 * rod_tex + 40.0 * shade, 0, 255),
-        bg[:, :w],
-    ).astype(np.uint8)
+    left = bg[:, :w].copy()
+    ds = disparity[valid]
+    if ds.size:
+        # mild depth shading under the texture keeps the render recognizable
+        dmin, dmax = ds.min(), ds.max()
+        span = max(dmax - dmin, 1e-9)
+        shade = (ds - dmin) / span
+        left[valid] = np.clip(0.75 * rod_tex + 40.0 * shade, 0, 255).astype(np.uint8)
 
-    right = bg[:, _BG_DISPARITY:].astype(np.uint8).copy()
+    right = bg[:, _BG_DISPARITY:].copy()
     # ...and scene pixels splat to u - d with the nearest surface winning
     vs, us = np.nonzero(valid)
-    ds = disparity[vs, us]
     ut = np.floor(us - ds + 0.5).astype(int)
     keep = (ut >= 0) & (ut < w)
     vs, us, ut, ds = vs[keep], us[keep], ut[keep], ds[keep]

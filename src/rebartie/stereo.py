@@ -173,15 +173,15 @@ def window_disparity_filter(disp, window=31, delta=3.0):
         raise BadParameter("delta must be positive")
     disp = np.asarray(disp, dtype=float)
     valid = disp >= 0
-    padded = np.where(valid, disp, -np.inf)
     # imported here: scipy.ndimage is most of a subcommand's start-up, and
     # only this filter and the plane mask's dilation use it
     from scipy import ndimage
 
     local_max = ndimage.maximum_filter(
-        padded, size=window, mode="constant", cval=-np.inf
+        np.where(valid, disp, -np.inf), size=window, mode="constant", cval=-np.inf
     )
-    keep = valid & (disp >= local_max - delta)
+    local_max -= delta
+    keep = valid & (disp >= local_max)
     return np.where(keep, disp, INVALID)
 
 

@@ -149,8 +149,7 @@ class TestNodesFromDisparity:
 
     def _nodes(self, bundle, calib, labels, disparity, out):
         return main([
-            "nodes", str(labels), str(bundle / "planes.txt"), str(calib),
-            "--out", str(out), "--disparity", str(disparity),
+            "nodes", str(labels), str(calib), "--out", str(out), "--disparity", str(disparity),
         ])
 
     @pytest.mark.parametrize("source", ["matched", "rendered"])
@@ -182,6 +181,24 @@ class TestNodesFromDisparity:
         assert captured.err == "nodes: skipped box 25: no valid disparity at node pixel\n"
         assert "25 tie points (1 skipped)" in captured.out
         assert len(read_tie_points(ties)) == 25
+
+    @pytest.mark.parametrize("with_disparity", [False, True])
+    def test_planes_given_iff_plane_path(self, tmp_path, bundle, identity_calib_file, with_disparity, capsys):
+        # planes is read only without --disparity: a missing one there, and a
+        # given one with --disparity, is a usage error before any file is read
+        ties = tmp_path / "ties.txt"
+        argv = ["nodes", str(bundle / "labels.txt"), str(identity_calib_file), "--out", str(ties)]
+        if with_disparity:
+            argv[2:2] = [str(tmp_path / "no_such_planes.txt")]
+            argv += ["--disparity", str(bundle / "disparity.txt")]
+            message = "planes is not read with --disparity: the node depth comes from the disparity map"
+        else:
+            message = "the following arguments are required: planes"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.endswith(f"rebartie nodes: error: {message}\n")
+        assert not ties.exists()
 
 
 class TestErrors:
@@ -550,6 +567,7 @@ class TestFlagsMatchReads:
             monkeypatch.setattr(robot.SimRobotServer, "serve_forever", serve_stopped)
         argv = _argv(command, walkthrough, tmp_path, server and server.port)
         if mode == "disparity":
+            argv.remove(walkthrough["planes"])
             argv += ["--disparity", bundle / "disparity.txt"]
         elif mode == "labels":
             argv = ["eval", "--labels", bundle / "labels.txt", bundle / "labels.txt"]

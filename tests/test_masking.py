@@ -83,6 +83,28 @@ class TestRasterizeMask:
                 assert (prev <= mask).all()
             prev = mask
 
+    @pytest.mark.parametrize("radius", range(4))
+    @pytest.mark.parametrize("density", [0.03, 0.3])
+    def test_equals_binary_dilation(self, rng, radius, density):
+        # reference: dilation by a square of ones with nothing set outside
+        # the image; the random pixels plus every corner and edge midpoint
+        from scipy import ndimage
+
+        w, h = 160, 90
+        raw = rng.random((h, w)) < density
+        for v, u in [(0, 0), (0, w - 1), (h - 1, 0), (h - 1, w - 1),
+                     (0, w // 2), (h - 1, w // 2), (h // 2, 0), (h // 2, w - 1)]:
+            raw[v, u] = True
+        vs, us = np.nonzero(raw)
+        cloud = PointCloud(np.zeros((vs.size, 3)), provenance=np.stack([us, vs], axis=1))
+        expected = raw
+        if radius:
+            square = np.ones((2 * radius + 1,) * 2, bool)
+            expected = ndimage.binary_dilation(raw, structure=square)
+        mask = rasterize_mask(cloud, w, h, radius)
+        assert mask.dtype == bool
+        assert np.array_equal(mask, expected)
+
     def test_missing_provenance(self):
         with pytest.raises(MissingProvenance):
             rasterize_mask(PointCloud([[0, 0, 1.0]]), 8, 8, 0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from rebartie.nodes import locate_nodes, parse_yolo_labels, write_yolo_labels
 from rebartie.planes import RansacParams, detect_parallel_planes
 from rebartie.scene import (
     GridSpec,
+    _BG_DISPARITY,
     _rod_pixel_box,
     _rods,
     default_rig,
@@ -97,6 +100,56 @@ def full_frame_render(spec, rig):
     disp = np.full(zbuf.shape, -1.0)
     disp[hit] = cam.fx * rig.baseline / zbuf[hit]
     return disp
+
+
+def reference_stereo_pair(spec, disparity):
+    """Reference for synth_stereo_pair: full-frame texture, shade and left
+    value maps, every pixel's value computed and the invalid ones discarded."""
+    h, w = disparity.shape
+    valid = disparity >= 0
+    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 0x57E2E0]))
+    bg = rng.integers(40, 200, (h, w + _BG_DISPARITY), dtype=np.int64)
+    rod_tex = rng.integers(0, 256, (h, w), dtype=np.int64)
+    shade = np.zeros((h, w))
+    if valid.any():
+        dmin, dmax = disparity[valid].min(), disparity[valid].max()
+        span = max(dmax - dmin, 1e-9)
+        shade[valid] = (disparity[valid] - dmin) / span
+    left = np.where(
+        valid,
+        np.clip(0.75 * rod_tex + 40.0 * shade, 0, 255),
+        bg[:, :w],
+    ).astype(np.uint8)
+    right = bg[:, _BG_DISPARITY:].astype(np.uint8).copy()
+    vs, us = np.nonzero(valid)
+    ds = disparity[vs, us]
+    ut = np.floor(us - ds + 0.5).astype(int)
+    keep = (ut >= 0) & (ut < w)
+    vs, us, ut, ds = vs[keep], us[keep], ut[keep], ds[keep]
+    nearest_first = np.argsort(-ds, kind="stable")
+    flat = vs[nearest_first] * w + ut[nearest_first]
+    _, first = np.unique(flat, return_index=True)
+    src = nearest_first[first]
+    right.flat[vs[src] * w + ut[src]] = left[vs[src], us[src]]
+    return left, right
+
+
+def peak_bytes(fn, *args):
+    """Peak bytes traced while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def partly_off_image_spec():
+    pose = GridSpec().grid_pose
+    shifted = RigidTransform(
+        pose.rotation, pose.translation + [0.7, -0.3, 0.0], "grid", "camera"
+    )
+    return GridSpec(grid_pose=shifted)
 
 
 class TestGenerateGridCloud:
@@ -226,11 +279,7 @@ class TestClippedRenderMatchesFullFrame:
         self.assert_identical(tilted_spec(seed), HALF_RIG)
 
     def test_grid_partly_outside_image(self):
-        pose = GridSpec().grid_pose
-        shifted = RigidTransform(
-            pose.rotation, pose.translation + [0.7, -0.3, 0.0], "grid", "camera"
-        )
-        spec = GridSpec(grid_pose=shifted)
+        spec = partly_off_image_spec()
         boxes = [_rod_pixel_box(spec, RIG.camera, *rod[:3]) for rod in _rods(spec)]
         assert None in boxes  # some rods project wholly off the image
         self.assert_identical(spec, RIG)
@@ -270,6 +319,48 @@ class TestSynthStereoPair:
         a, _ = synth_stereo_pair(small_spec(seed=1), disp)
         b, _ = synth_stereo_pair(small_spec(seed=2), disp)
         assert not np.array_equal(a, b)
+
+
+class TestStereoPairMatchesReference:
+    def assert_identical(self, spec, rig):
+        disp = render_disparity(spec, rig)
+        left, right = synth_stereo_pair(spec, disp)
+        ref_left, ref_right = reference_stereo_pair(spec, disp)
+        assert np.array_equal(left, ref_left)
+        assert np.array_equal(right, ref_right)
+        return disp
+
+    def test_default_scene(self):
+        self.assert_identical(GridSpec(), RIG)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tilted_poses(self, seed):
+        self.assert_identical(tilted_spec(seed), HALF_RIG)
+
+    def test_grid_partly_outside_image(self):
+        self.assert_identical(partly_off_image_spec(), RIG)
+
+    def test_no_rod_pixels(self):
+        pose = GridSpec().grid_pose
+        away = RigidTransform(pose.rotation, pose.translation + [5.0, 0.0, 0.0], "grid", "camera")
+        disp = self.assert_identical(GridSpec(grid_pose=away, seed=3), HALF_RIG)
+        assert (disp == -1.0).all()
+
+
+class TestPeakAllocation:
+    """The default scene's rendering and pair synthesis hold no full-frame
+    temporaries beyond the arrays their results need."""
+
+    MAP = RIG.camera.width * RIG.camera.height * 8  # one float64 frame
+
+    def test_render_below_three_maps(self):
+        # zbuf, the returned disparity and one rod box's arrays
+        assert peak_bytes(render_disparity, GridSpec(), RIG) < 3 * self.MAP
+
+    def test_stereo_pair_below_two_maps(self):
+        # one int64 draw at a time and the uint8 views
+        disp = render_disparity(GridSpec(), RIG)
+        assert peak_bytes(synth_stereo_pair, GridSpec(), disp) < 2 * self.MAP
 
 
 class TestGroundTruthLabels:
