@@ -59,8 +59,10 @@ def _cmd_disparity(args):
 def _cmd_cloud(args):
     cfg = _config_from_args(args)
     disp = stereo.read_disparity(args.disparity)
-    filtered = stereo.window_disparity_filter(disp, cfg.window, cfg.delta)
-    pc = stereo.disparity_to_cloud(cfg.rig(), filtered)
+    disp = stereo.window_disparity_filter(disp, cfg.window, cfg.delta)
+    # cloud.ply has no place for provenance: drop it, and the map, before SOR
+    pc = cloudmod.PointCloud(stereo.disparity_to_cloud(cfg.rig(), disp).points)
+    del disp
     pc = cloudmod.statistical_outlier_removal(pc, cfg.sor_k, cfg.sor_sigma_mult)
     pc = cloudmod.voxel_downsample(pc, cfg.voxel_size)
     cloudmod.write_ply(args.out, pc)

@@ -1,5 +1,7 @@
 """Point clouds and conditioning: statistical outlier removal, voxel downsampling."""
 
+import io
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -11,10 +13,13 @@ from .errors import BadParameter, ParseError, TooFewPoints
 # large cloud is never held as one string.
 _WRITE_BLOCK_ROWS = 4096
 
-# Points per SOR kNN query: with k = 16 the query returns about 18 MB of
+# Points per SOR kNN query: with k = 16 the query returns about 4.5 MB of
 # distances and indices per block, where the whole 727k-point stereo cloud
 # at once would take about 200 MB.
-_SOR_QUERY_ROWS = 65536
+_SOR_QUERY_ROWS = 16384
+
+# floor(coord / voxel_size) must lie in [-2**63, 2**63) to be an int64 key.
+_KEY_LIMIT = 2.0**63
 
 
 @dataclass
@@ -72,35 +77,55 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0):
         block = cloud.points[start : start + _SOR_QUERY_ROWS]
         dists, _ = tree.query(block, k=k + 1, workers=-1)
         mean_dists[start : start + len(block)] = dists[:, 1:].mean(axis=1)
+    del tree  # it holds a copy of the points: free it before take copies them
     mu = mean_dists.mean()
     sigma = mean_dists.std()
     keep = np.flatnonzero(mean_dists <= mu + sigma_mult * sigma)
     return cloud.take(keep)
 
 
+def _voxel_key(coords, voxel_size):
+    """floor(coords / voxel_size) as int64; BadParameter where it does not fit."""
+    with np.errstate(over="ignore"):
+        key = coords / voxel_size
+    np.floor(key, out=key)
+    if not (key.min() >= -_KEY_LIMIT and key.max() < _KEY_LIMIT):  # nan fails too
+        raise BadParameter("voxel_size too small: coordinate / voxel_size must fit in int64")
+    return key.astype(np.int64)
+
+
 def voxel_downsample(cloud, voxel_size=0.005):
     """Replace the points of each occupied voxel with their centroid.
 
-    Voxel index is floor(coord / voxel_size) per axis; output is ordered by
-    ascending (ix, iy, iz). Provenance is dropped (centroids have no single
-    source pixel).
+    Voxel index is floor(coord / voxel_size) per axis, which must fit in
+    int64; output is ordered by ascending (ix, iy, iz). Provenance is dropped
+    (centroids have no single source pixel). The working arrays are one
+    column per axis, never an (n, 3) copy of the points or keys.
     """
     if voxel_size <= 0:
         raise BadParameter("voxel_size must be positive")
     if len(cloud) == 0:
         return PointCloud(np.empty((0, 3)))
-    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
+    keys = [_voxel_key(cloud.points[:, a], voxel_size) for a in range(3)]
     # stable sort by (ix, iy, iz): each voxel's points form one run, still
-    # in input order, so bincount sums them in the order they came in
-    order = np.lexsort(keys.T[::-1])
-    sorted_keys = keys[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-    voxel = np.cumsum(starts) - 1
+    # in input order; a run start is where any axis's key changes
+    order = np.lexsort(keys[::-1])
+    starts = np.zeros(len(order), dtype=bool)
+    starts[0] = True
+    while keys:
+        key = keys.pop()[order]
+        starts[1:] |= key[1:] != key[:-1]
+    del key
+    # each point's voxel number, in input order: bincount then sums every
+    # voxel's points in the order they came in, as the sorted runs hold them
+    voxel = np.empty(len(order), dtype=np.int64)
+    voxel[order] = np.cumsum(starts) - 1
+    del order
     counts = np.bincount(voxel)
-    pts = cloud.points[order]
-    sums = np.stack([np.bincount(voxel, weights=pts[:, a]) for a in range(3)], axis=1)
-    return PointCloud(sums / counts[:, None])
+    centroids = np.empty((len(counts), 3))
+    for a in range(3):
+        np.divide(np.bincount(voxel, weights=cloud.points[:, a]), counts, out=centroids[:, a])
+    return PointCloud(centroids)
 
 
 def write_ply(path, cloud):
@@ -116,11 +141,29 @@ def write_ply(path, cloud):
             f.write(("%.6g %.6g %.6g\n" * len(block)) % tuple(block.ravel().tolist()))
 
 
+def text_lines(path):
+    """Iterate over a text file's lines as ``open(path).read().splitlines()``
+    lists them.
+
+    ASCII text whose only line break is "\n", which is every file the
+    pipeline writes, is split lazily from its bytes, each line keeping its
+    "\n": the list of a 394k-point cloud's lines alone takes about 30 MB.
+    Any other file is decoded and split whole.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if data.isascii() and not any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
+        return map(bytes.decode, io.BytesIO(data))
+    with open(path) as f:
+        return iter(f.read().splitlines())
+
+
 def parse_float_rows(lines, shape, parse_loop):
     """Parse whitespace-separated float rows, one row per line.
 
-    numpy's C parser reads ``lines`` (exactly the rows expected) and its
-    result is kept only when it has ``shape`` and every value is finite.
+    numpy's C parser reads the iterable ``lines`` (exactly the rows
+    expected) and its result is kept only when it has ``shape`` and every
+    value is finite.
     Otherwise, or when it fails, ``parse_loop()`` decides: the line-by-line
     parser that returns the array or raises ParseError naming the offending
     line, which is also how a nan or inf is rejected. The C parser rejects
@@ -142,28 +185,30 @@ def parse_float_rows(lines, shape, parse_loop):
 
 def read_ply(path):
     """Read the ASCII PLY subset written by write_ply."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
+    lines = text_lines(path)
+    if next(lines, "").strip() != "ply":
         raise ParseError(1, "missing 'ply' magic")
     count = None
     body_start = None
-    for i, line in enumerate(lines[1:], start=2):
+    lineno = 1
+    for lineno, line in enumerate(lines, start=2):
         parts = line.split()
         if parts[:2] == ["element", "vertex"]:
             try:
                 count = int(parts[2])
             except (IndexError, ValueError):
-                raise ParseError(i, "bad element vertex line") from None
+                raise ParseError(lineno, "bad element vertex line") from None
             if count < 0:
-                raise ParseError(i, f"negative vertex count {count}")
+                raise ParseError(lineno, f"negative vertex count {count}")
         elif parts == ["end_header"]:
-            body_start = i
+            body_start = lineno
             break
     if count is None or body_start is None:
-        raise ParseError(len(lines), "header missing vertex count or end_header")
+        last = lineno + sum(1 for _ in lines)  # the error names the file's last line
+        raise ParseError(last, "header missing vertex count or end_header")
 
     def parse_loop():
+        lines = list(text_lines(path))
         pts = np.empty((count, 3))
         for j in range(count):
             lineno = body_start + 1 + j
@@ -180,5 +225,5 @@ def read_ply(path):
                 raise ParseError(lineno, "non-finite coordinate")
         return pts
 
-    body = lines[body_start : body_start + count]
+    body = itertools.islice(lines, count)
     return PointCloud(parse_float_rows(body, (count, 3), parse_loop))

@@ -5,9 +5,11 @@ Disparity maps are float64 arrays with negative values marking invalid
 pixels (-1 in files).
 """
 
+import itertools
+
 import numpy as np
 
-from .cloud import PointCloud, parse_float_rows
+from .cloud import PointCloud, parse_float_rows, text_lines
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 
 INVALID = -1.0
@@ -144,6 +146,8 @@ def disparity_to_cloud(rig, disp):
 
     Each point keeps its source pixel as provenance. Pixels with zero
     disparity have no finite depth and are skipped along with invalid ones.
+    z = fx * baseline / d, then x = (u - cx) / fx * z and y = (v - cy) / fy * z
+    are written straight into the columns of the (n, 3) points array.
     """
     disp = np.asarray(disp, dtype=float)
     cam = rig.camera
@@ -152,10 +156,10 @@ def disparity_to_cloud(rig, disp):
             f"disparity {disp.shape} vs camera {(cam.height, cam.width)}"
         )
     vs, us = np.nonzero(disp > 0)
-    z = cam.fx * rig.baseline / disp[vs, us]
-    x = (us - cam.cx) / cam.fx * z
-    y = (vs - cam.cy) / cam.fy * z
-    points = np.stack([x, y, z], axis=1)
+    points = np.empty((len(vs), 3))
+    z = np.divide(cam.fx * rig.baseline, disp[vs, us], out=points[:, 2])
+    np.multiply((us - cam.cx) / cam.fx, z, out=points[:, 0])
+    np.multiply((vs - cam.cy) / cam.fy, z, out=points[:, 1])
     provenance = np.stack([us, vs], axis=1)
     return PointCloud(points, provenance)
 
@@ -208,21 +212,22 @@ def write_disparity(path, disp):
 
 
 def read_disparity(path):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines:
+    lines = text_lines(path)
+    first = next(lines, None)
+    if first is None:
         raise ParseError(1, "empty disparity file")
-    parts = lines[0].split()
+    parts = first.split()
     if len(parts) != 2:
         raise ParseError(1, "expected 'width height'")
     try:
         w, h = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(1, "non-integer dimensions") from None
-    if len(lines) < h + 1:
-        raise ParseError(len(lines), f"expected {h} data rows")
 
     def parse_loop():
+        lines = list(text_lines(path))
+        if len(lines) < h + 1:
+            raise ParseError(len(lines), f"expected {h} data rows")
         disp = np.empty((h, w))
         for i in range(h):
             row = lines[i + 1].split()
@@ -236,6 +241,7 @@ def read_disparity(path):
                 raise ParseError(i + 2, "non-finite disparity")
         return disp
 
-    disp = parse_float_rows(lines[1 : h + 1], (h, w), parse_loop)
+    # a negative h reads no rows here and fails in parse_loop
+    disp = parse_float_rows(itertools.islice(lines, max(h, 0)), (h, w), parse_loop)
     disp[disp < 0] = INVALID
     return disp

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,13 @@ def planes_close(p1, p2, tol=1e-9):
         np.allclose(p1.normal, sign * p2.normal, atol=tol)
         and abs(p1.offset - sign * p2.offset) <= tol
     )
+
+
+def peak_bytes(fn, *args):
+    """Peak bytes traced while fn(*args) runs, its result included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -17,7 +17,9 @@ from rebartie.errors import BadParameter, ParseError
 from rebartie.frames import CalibrationSet, format_calibration, read_tie_points
 from rebartie.geometry import RigidTransform
 from rebartie.robot import SimRobotConfig, SimRobotServer
-from rebartie.stereo import window_disparity_filter
+from rebartie.stereo import disparity_to_cloud, read_disparity, window_disparity_filter
+
+from conftest import peak_bytes
 
 
 @pytest.fixture
@@ -660,6 +662,47 @@ def test_huge_normal_reads_as_its_unit_normal(tmp_path, walkthrough, capsys):
     want = read_tie_points(walkthrough["ties"])
     assert [t.sequence_index for t in got] == [t.sequence_index for t in want]
     assert np.allclose([t.position for t in got], [t.position for t in want], rtol=0, atol=1e-12)
+
+
+def test_voxel_too_small_for_the_cloud_exit_1(tmp_path, walkthrough, capsys):
+    # floor(coordinate / voxel_size) no longer fits the int64 voxel keys
+    out = tmp_path / "c.ply"
+    rc = main([
+        "cloud", str(walkthrough["bundle"] / "disparity.txt"), "--out", str(out),
+        "--voxel-size", "1e-30",
+    ])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == (
+        "cloud: BadParameter: voxel_size too small: coordinate / voxel_size must fit in int64\n"
+    )
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+class TestCloudPeakAllocation:
+    """`cloud` on the default scene's stereo-matched map holds no whole-cloud
+    temporaries beyond the ones its back-projection needs."""
+
+    def test_below_two_maps_and_one_cloud(self, tmp_path, walkthrough):
+        import scipy.ndimage, scipy.spatial  # noqa: E401,F401  imported outside the trace
+
+        bundle = walkthrough["bundle"]
+        matched = tmp_path / "matched.txt"
+        assert main(["disparity", str(bundle / "left.pgm"), str(bundle / "right.pgm"),
+                     "--out", str(matched)]) == 0
+        cfg = PipelineConfig()
+        disp = read_disparity(matched)
+        n = len(disparity_to_cloud(cfg.rig(), window_disparity_filter(disp, cfg.window, cfg.delta)))
+        assert n > 500_000  # the background is matched too
+        # two maps while the window filter runs, then one map and the cloud
+        # while it is built: per point 24 bytes of coordinates, 16 of
+        # provenance, 16 of pixel indices and 8 of gathered disparities.
+        # SOR's tree and the voxel keys come after the map is freed and the
+        # provenance dropped.
+        bound = 2 * disp.nbytes + 64 * n
+        argv = ["cloud", str(matched), "--out", str(tmp_path / "c.ply")]
+        assert peak_bytes(main, argv) < bound
 
 
 class TestConfig:

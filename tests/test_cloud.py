@@ -12,6 +12,8 @@ from rebartie.cloud import (
 )
 from rebartie.errors import BadParameter, ParseError, TooFewPoints
 
+from conftest import peak_bytes
+
 
 def brute_sor_survivors(points, k, sigma_mult):
     """Independent SOR oracle: full pairwise distances, partition for the k
@@ -231,6 +233,129 @@ class TestVoxelMatchesReference:
         assert same_bits(out.points, reference_voxel(PointCloud(pts), 1.0).points)
 
 
+def reference_lexsort_voxel(cloud, voxel_size):
+    """Voxel binning by lexsort over an (n, 3) key array and a sorted copy of
+    the points, as it was; the bit oracle of the column-wise version."""
+    if len(cloud) == 0:
+        return PointCloud(np.empty((0, 3)))
+    keys = np.floor(cloud.points / voxel_size).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    voxel = np.cumsum(starts) - 1
+    counts = np.bincount(voxel)
+    pts = cloud.points[order]
+    sums = np.stack([np.bincount(voxel, weights=pts[:, a]) for a in range(3)], axis=1)
+    return PointCloud(sums / counts[:, None])
+
+
+def same_voxels(pts, voxel_size):
+    out = voxel_downsample(PointCloud(pts), voxel_size).points
+    return same_bits(out, reference_lexsort_voxel(PointCloud(pts), voxel_size).points)
+
+
+class TestVoxelMatchesLexsortReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_clouds(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 20_000))
+        pts = rng.normal(0, 10 ** rng.uniform(-2, 1), (n, 3)) + rng.normal(0, 3, 3)
+        if seed % 2:
+            pts = np.round(pts, 2)  # points on voxel boundaries
+        assert same_voxels(pts, 10 ** rng.uniform(-3, 0))
+
+    def test_empty_cloud(self):
+        assert same_voxels(np.empty((0, 3)), 0.1)
+
+    def test_one_point(self):
+        assert same_voxels(np.array([[0.3, -0.2, 1.1]]), 0.005)
+
+    def test_negative_coordinates(self, rng):
+        pts = rng.uniform(-3.0, -0.001, (2000, 3))
+        pts[::3, 1] *= -1
+        assert same_voxels(pts, 0.25)
+
+    def test_duplicate_points(self, rng):
+        base = rng.uniform(-1, 1, (300, 3))
+        pts = np.vstack([base, base[::-1], base[:100], np.zeros((50, 3))])
+        assert same_voxels(pts, 0.05)
+
+    def test_each_point_its_own_voxel(self, rng):
+        pts = rng.uniform(-1, 1, (5000, 3))
+        assert len(voxel_downsample(PointCloud(pts), 1e-6)) == 5000
+        assert same_voxels(pts, 1e-6)
+
+    def test_range_of_a_million_voxels(self, rng):
+        pts = rng.uniform(-5e5, 5e5, (4000, 3))
+        pts[:1000] = np.round(pts[:1000] / 1e5) * 1e5  # shared far-apart voxels
+        assert same_voxels(pts, 1.0)
+
+
+class TestVoxelKeyRange:
+    RULE = "voxel_size too small: coordinate / voxel_size must fit in int64"
+
+    @pytest.mark.parametrize("voxel_size", [1e-30, 1e-320])
+    def test_voxel_too_small_for_the_extent(self, rng, voxel_size):
+        pts = rng.uniform(0.5, 2.0, (100, 3))
+        with pytest.raises(BadParameter) as exc:
+            voxel_downsample(PointCloud(pts), voxel_size)
+        assert str(exc.value) == self.RULE
+
+    @pytest.mark.parametrize("bad", [2.0**63, -(2.0**64), np.inf, np.nan])
+    def test_coordinate_outside_int64(self, bad):
+        pts = np.zeros((3, 3))
+        pts[1, 2] = bad
+        with pytest.raises(BadParameter, match="must fit in int64"):
+            voxel_downsample(PointCloud(pts), 1.0)
+
+    def test_int64_limits_accepted(self):
+        lowest = -(2.0**63)
+        highest = np.nextafter(2.0**63, 0)  # the largest float below 2**63
+        pts = np.array([[lowest, 0.0, 0.0], [highest, 0.0, 0.0]])
+        out = voxel_downsample(PointCloud(pts), 1.0)
+        assert same_bits(out.points, pts)
+
+
+class TestSorQueryBlockEdges:
+    """Point counts just below, at and just above a multiple of the query
+    block, so the last block is short, full or a single row."""
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_matches_reference(self, offset, blocks):
+        n = blocks * cloudmod._SOR_QUERY_ROWS + offset
+        rng = np.random.default_rng(n)
+        pts = rng.normal(size=(n, 3))
+        pts[::97] *= 6.0
+        cloud = PointCloud(pts)
+        out = statistical_outlier_removal(cloud, k=8, sigma_mult=1.0)
+        assert 0 < len(out) < n
+        assert same_bits(out.points, reference_sor(cloud, 8, 1.0).points)
+
+
+class TestPeakAllocation:
+    """Bounds from the arrays each step needs, not from measured peaks."""
+
+    def test_voxel_below_two_and_a_half_inputs(self, rng):
+        # every point its own voxel, so the centroids are as large as the
+        # input: they (1x) plus the voxel labels, the counts, one weights
+        # column and one sum column (1/3x each) come to 2.33x; an (n, 3)
+        # copy of the points or keys on top of that would pass 2.5x
+        pts = rng.uniform(-1.0, 1.0, (200_000, 3))
+        cloud = PointCloud(pts)
+        assert peak_bytes(voxel_downsample, cloud, 1e-6) < 2.5 * pts.nbytes
+
+    def test_read_ply_holds_no_list_of_lines(self, tmp_path, rng):
+        # the file's bytes, the points and one parse chunk; a list of the
+        # file's lines as str objects alone would be about 3x the file
+        pts = rng.uniform(-2.0, 2.0, (100_000, 3))
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(pts))
+        peak = peak_bytes(read_ply, path)
+        assert peak < path.stat().st_size + 1.5 * pts.nbytes
+
+
 class TestPlyIO:
     def test_round_trip(self, tmp_path, rng):
         pts = rng.normal(size=(40, 3))
@@ -416,3 +541,41 @@ class TestPlyCodecMatchesReference:
         with pytest.raises(ParseError) as exc:
             read_ply(path)
         assert (exc.value.line, str(exc.value)) == (9, "line 9: expected 3 fields, got 0")
+
+
+class TestPlyLineBreaks:
+    """Files that are not plain "\\n"-separated ASCII are split whole, and
+    every file parses or fails as the per-line oracle says."""
+
+    BODY = "0 0 0\n1 1 1\n2 2 2\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            (PLY_HEADER + BODY).replace("\n", "\r\n"),
+            (PLY_HEADER + BODY).replace("\n", "\r"),
+            PLY_HEADER + BODY.replace("1 1 1\n", "1 1 1\r\n"),
+            PLY_HEADER.replace("end_header", "comment café\nend_header") + BODY,
+            PLY_HEADER + BODY + "café\n",  # non-ASCII past the declared rows
+            (PLY_HEADER + "0 0 0\r\n\r\n1 1 1\r\n2 2 2\r\n"),  # blank line, found by the loop
+            PLY_HEADER + "0 0 0\n1\u20281 1\n2 2 2\n",  # U+2028 ends a line
+            PLY_HEADER + "0 0 0\n1 1 1\x1c2 2 2\n",  # so does a file separator
+        ],
+    )
+    def test_parse_outcome(self, tmp_path, text):
+        path = tmp_path / "c.ply"
+        path.write_bytes(text.encode())
+        assert ply_outcome(read_ply, path) == ply_outcome(reference_read_ply, path)
+
+    def test_crlf_file_parses(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_bytes((PLY_HEADER + self.BODY).replace("\n", "\r\n").encode())
+        assert read_ply(path).points.tolist() == [[0, 0, 0], [1, 1, 1], [2, 2, 2]]
+
+    def test_header_error_names_the_last_line(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_text("ply\nformat ascii 1.0\nend_header\n0 0 0\n1 1 1\n")
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert exc.value.line == 5
+        assert ply_outcome(read_ply, path) == ply_outcome(reference_read_ply, path)

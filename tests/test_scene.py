@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -30,7 +28,7 @@ from rebartie.scene import (
 )
 from rebartie.stereo import block_match_disparity, disparity_to_cloud
 
-from conftest import plane_angle
+from conftest import peak_bytes, plane_angle
 
 RIG = default_rig()
 
@@ -132,16 +130,6 @@ def reference_stereo_pair(spec, disparity):
     src = nearest_first[first]
     right.flat[vs[src] * w + ut[src]] = left[vs[src], us[src]]
     return left, right
-
-
-def peak_bytes(fn, *args):
-    """Peak bytes traced while fn(*args) runs, its result included."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def partly_off_image_spec():

@@ -229,6 +229,66 @@ class TestDisparityToCloud:
             disparity_to_cloud(RIG, np.zeros((10, 10)))
 
 
+def reference_disparity_to_cloud(rig, disp):
+    """Back-projection through separate x, y, z arrays and np.stack, as it
+    was; the bit oracle."""
+    disp = np.asarray(disp, dtype=float)
+    cam = rig.camera
+    vs, us = np.nonzero(disp > 0)
+    z = cam.fx * rig.baseline / disp[vs, us]
+    x = (us - cam.cx) / cam.fx * z
+    y = (vs - cam.cy) / cam.fy * z
+    return np.stack([x, y, z], axis=1), np.stack([us, vs], axis=1)
+
+
+def same_cloud(rig, disp):
+    cloud = disparity_to_cloud(rig, disp)
+    points, provenance = reference_disparity_to_cloud(rig, disp)
+    return (
+        cloud.points.shape == points.shape
+        and np.array_equal(cloud.points.view(np.int64), points.view(np.int64))
+        and np.array_equal(cloud.provenance, provenance)
+        and cloud.provenance.dtype == provenance.dtype
+    )
+
+
+class TestDisparityToCloudMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_maps(self, seed):
+        rng = np.random.default_rng(seed)
+        rig = StereoRig(
+            CameraModel(
+                fx=rng.uniform(200, 900), fy=rng.uniform(200, 900),
+                cx=rng.uniform(10, 150), cy=rng.uniform(10, 110), width=160, height=120,
+            ),
+            baseline=rng.uniform(0.01, 0.5),
+        )
+        disp = np.full((120, 160), INVALID)
+        mask = rng.random((120, 160)) < rng.uniform(0.05, 1.0)
+        disp[mask] = 10.0 ** rng.uniform(-3, 2, mask.sum())
+        disp[rng.random((120, 160)) < 0.05] = 0.0  # no finite depth: skipped
+        assert same_cloud(rig, disp)
+
+    def test_empty_map(self):
+        assert same_cloud(RIG, np.full((120, 160), INVALID))
+
+    def test_one_valid_pixel(self):
+        disp = np.full((120, 160), INVALID)
+        disp[7, 151] = 12.25
+        assert same_cloud(RIG, disp)
+
+    def test_negative_coordinates(self, rng):
+        # only pixels left of and above the principal point: x, y < 0
+        disp = np.full((120, 160), INVALID)
+        disp[:60, :80] = rng.uniform(1, 60, (60, 80))
+        assert same_cloud(RIG, disp)
+        assert (disparity_to_cloud(RIG, disp).points[:, :2] <= 0).all()
+
+    def test_rendered_scene_map(self):
+        rig = StereoRig(CameraModel(700.0, 700.0, 640.0, 360.0, 1280, 720), 0.06)
+        assert same_cloud(rig, render_disparity(GridSpec(), rig))
+
+
 class TestWindowFilter:
     def test_threshold_rule(self):
         disp = np.full((9, 9), 30.0)
@@ -454,3 +514,31 @@ class TestDisparityCodecMatchesReference:
         reference_write_disparity(ref, disp)
         assert fast.read_bytes() == ref.read_bytes()
         assert read_disparity(fast).tobytes() == reference_read_disparity(ref).tobytes()
+
+
+class TestDisparityLineBreaks:
+    """Files that are not plain "\\n"-separated ASCII are split whole, and
+    every file parses or fails as the per-line oracle says."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 2\r\n1 2 3\r\n4 5 6\r\n",
+            "3 2\r1 2 3\r4 5 6\r",
+            "3 2\n1 2 3\r\n4 5 6\n",
+            "3 2\n1 2 3\n4 5 6\nnoté\n",  # non-ASCII past the declared rows
+            "3 2\r\n1 2 3\r\n\r\n4 5 6\r\n",  # blank line, found by the loop
+            "3 2\n1 2\u20283\n4 5 6\n",  # U+2028 ends a line
+            "3 2\n1 2 3\f4 5 6\n",  # so does a form feed
+            "3 2\n1 2 3\n",  # too few rows, named by the last line
+        ],
+    )
+    def test_parse_outcome(self, tmp_path, text):
+        path = tmp_path / "d.txt"
+        path.write_bytes(text.encode())
+        assert read_outcome(read_disparity, path) == read_outcome(reference_read_disparity, path)
+
+    def test_crlf_file_parses(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"3 2\r\n1 2 -3\r\n4 5 6\r\n")
+        assert read_disparity(path).tolist() == [[1, 2, INVALID], [4, 5, 6]]
