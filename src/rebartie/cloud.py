@@ -2,6 +2,7 @@
 
 import io
 import itertools
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -9,9 +10,11 @@ import numpy as np
 
 from .errors import BadParameter, ParseError, TooFewPoints
 
-# Rows formatted per write call: about 100 kB of text at a time, so a
-# large cloud is never held as one string.
-_WRITE_BLOCK_ROWS = 4096
+# The header write_ply writes, and the only binary header read_ply takes.
+_PLY_BINARY_HEADER = (
+    "ply\nformat binary_little_endian 1.0\nelement vertex {n}\n"
+    "property double x\nproperty double y\nproperty double z\nend_header\n"
+)
 
 # Points per SOR kNN query: with k = 16 the query returns about 4.5 MB of
 # distances and indices per block, where the whole 727k-point stereo cloud
@@ -129,16 +132,12 @@ def voxel_downsample(cloud, voxel_size=0.005):
 
 
 def write_ply(path, cloud):
-    """Write an ASCII PLY with float x/y/z at 6 significant digits."""
+    """Write a binary little-endian PLY of double x/y/z: every coordinate
+    to the bit, with no per-point formatting."""
     pts = cloud.points
-    with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {pts.shape[0]}\n")
-        f.write("property float x\nproperty float y\nproperty float z\n")
-        f.write("end_header\n")
-        for start in range(0, pts.shape[0], _WRITE_BLOCK_ROWS):
-            block = pts[start : start + _WRITE_BLOCK_ROWS]
-            f.write(("%.6g %.6g %.6g\n" * len(block)) % tuple(block.ravel().tolist()))
+    with open(path, "wb") as f:
+        f.write(_PLY_BINARY_HEADER.format(n=pts.shape[0]).encode("ascii"))
+        pts.astype("<f8", copy=False).tofile(f)
 
 
 def text_lines(path):
@@ -184,7 +183,65 @@ def parse_float_rows(lines, shape, parse_loop):
 
 
 def read_ply(path):
-    """Read the ASCII PLY subset written by write_ply."""
+    """Read a PLY cloud: the binary layout write_ply writes, or ASCII rows.
+
+    The format line, which follows the magic, picks the branch. A binary
+    body has no lines, so a binary file whose header lines are not
+    write_ply's (vertex count aside), whose body is not 24 bytes per vertex
+    or which holds a non-finite value is a ParseError naming end_header.
+    """
+    with open(path, "rb") as f:
+        header = _binary_ply_header(f)
+        if header is not None:
+            count, end_line = header
+            size = os.fstat(f.fileno()).st_size - f.tell()
+            if size != 24 * count:
+                raise ParseError(end_line, f"binary body of {size} bytes, expected {24 * count}")
+            pts = np.fromfile(f, dtype="<f8", count=3 * count).reshape(count, 3)
+            if not np.isfinite(pts).all():
+                raise ParseError(end_line, "non-finite coordinate")
+            return PointCloud(pts)
+    return _read_ascii_ply(path)
+
+
+def _binary_ply_header(f):
+    """Read a binary PLY's header from f: (vertex count, end_header line).
+
+    None unless the file starts with a 'ply' line and a format line that is
+    not ascii: the ASCII reader then reads the file from its start.
+    """
+    if f.readline().strip() != b"ply":
+        return None
+    fmt = f.readline().split()
+    if fmt[:1] != [b"format"] or fmt[1:2] == [b"ascii"]:
+        return None
+    lines = [fmt]
+    lineno = 2
+    for lineno, line in enumerate(f, start=3):
+        lines.append(line.split())
+        if lines[-1] == [b"end_header"]:
+            break
+    else:
+        raise ParseError(lineno, "header missing vertex count or end_header")
+    # write_ply's header lines, with this file's vertex count token
+    vertex = lines[1]
+    n = vertex[2].decode("ascii", "replace") if len(vertex) == 3 else "?"
+    want = _PLY_BINARY_HEADER.format(n=n).encode().split(b"\n")[1:-1]
+    if [b" ".join(parts) for parts in lines] != want:
+        raise ParseError(
+            lineno, "binary PLY must be binary_little_endian 1.0 with vertex double x, y, z only"
+        )
+    try:
+        count = int(vertex[2])
+    except ValueError:
+        raise ParseError(3, "bad element vertex line") from None
+    if count < 0:
+        raise ParseError(3, f"negative vertex count {count}")
+    return count, lineno
+
+
+def _read_ascii_ply(path):
+    """Read an ASCII PLY's x y z rows, each ParseError naming its line."""
     lines = text_lines(path)
     if next(lines, "").strip() != "ply":
         raise ParseError(1, "missing 'ply' magic")

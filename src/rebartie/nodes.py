@@ -7,6 +7,7 @@ position comes from intersecting the camera ray with the detected rebar
 plane, or from the disparity at the node pixel.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +134,9 @@ def locate_nodes_from_disparity(boxes, rig, disp):
         u, v = box_to_node_pixel(box, cam.width, cam.height)
         ui, vi = int(round(u)), int(round(v))
         d = disp[vi, ui] if 0 <= vi < cam.height and 0 <= ui < cam.width else -1.0
-        if not d > 0:
+        z = disparity_to_depth(rig, d) if d > 0 else math.inf
+        if not math.isfinite(z):
             diagnostics.append(f"box {i}: no valid disparity at node pixel")
             continue
-        z = disparity_to_depth(rig, d)
         observations.append(NodeObservation((u, v), backproject(cam, u, v, z), box))
     return observations, diagnostics

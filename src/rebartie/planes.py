@@ -13,6 +13,11 @@ import numpy as np
 from .errors import BadParameter, DegenerateInput, LayersTooClose, NoConsensus, ParseError
 from .geometry import Plane, fit_plane_least_squares, plane_signed_distance
 
+# Points per block when a RANSAC candidate is scored; a power of two, so each
+# row sits at the same place within the BLAS kernel's unrolled loop in its
+# block as in the whole cloud.
+_SCORE_ROWS = 16384
+
 
 @dataclass(frozen=True)
 class RansacParams:
@@ -59,11 +64,20 @@ def ransac_dominant_plane(cloud, params):
     Deterministic given params.seed. Iterations that draw collinear triples
     are skipped. Raises NoConsensus when the best inlier fraction stays
     below params.min_inlier_fraction.
+
+    A candidate is scored in blocks of _SCORE_ROWS points and dropped once
+    the points it has not seen could not lift its count above the best's.
+    The first candidate with the most inliers still wins, with the same
+    count: the matrix-vector product gives each row of a block of two or
+    more rows the same bits as the product over the whole cloud.
     """
     pts = cloud.points
     n = pts.shape[0]
     if n < 3:
         raise NoConsensus(f"cloud of size {n} cannot support a plane")
+    # scoring blocks end here; a one-row last block joins the one before it,
+    # since numpy's product of a single row may round differently
+    stops = [*range(_SCORE_ROWS, n - 1, _SCORE_ROWS), n]
     rng = np.random.default_rng(params.seed)
     best_count = 0
     best_plane = None
@@ -76,8 +90,14 @@ def ransac_dominant_plane(cloud, params):
             continue  # collinear sample
         normal = normal / norm
         candidate = Plane(normal, float(normal @ pts[i]))
-        dist = plane_signed_distance(candidate, pts)
-        count = int(np.count_nonzero(np.abs(dist) <= params.inlier_threshold))
+        count = 0
+        start = 0
+        for stop in stops:
+            if count + (n - start) <= best_count:
+                break  # even all the rows left could not make it the first best
+            dist = plane_signed_distance(candidate, pts[start:stop])
+            count += int(np.count_nonzero(np.abs(dist) <= params.inlier_threshold))
+            start = stop
         if count > best_count:
             best_count = count
             best_plane = candidate
@@ -123,8 +143,10 @@ def kmeans_split_offsets(offsets):
     rsq = csq[-1] - csq[:-1]
     right = rsq - rsum**2 / (n - counts)
     split = int(np.argmin(left + right)) + 1
-    low = np.sort(order[:split])
-    high = np.sort(order[split:])
+    in_low = np.zeros(n, dtype=bool)
+    in_low[order[:split]] = True
+    low = np.flatnonzero(in_low)
+    high = np.flatnonzero(~in_low)
     return (low, high), (float(v[low].mean()), float(v[high].mean()))
 
 

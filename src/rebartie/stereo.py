@@ -135,17 +135,23 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
 
 
 def disparity_to_depth(rig, d):
-    """Depth Z = fx * baseline / d for a positive disparity in pixels."""
+    """Depth Z = fx * baseline / d for a positive disparity in pixels.
+
+    inf where d is so small that the depth overflows: like d <= 0, such a
+    disparity is not valid, and callers skip it.
+    """
     if d <= 0:
         raise NonPositiveDisparity(f"disparity {d} is not positive")
-    return rig.camera.fx * rig.baseline / d
+    with np.errstate(over="ignore"):
+        return rig.camera.fx * rig.baseline / d
 
 
 def disparity_to_cloud(rig, disp):
     """Back-project every valid pixel of a disparity map to the camera frame.
 
-    Each point keeps its source pixel as provenance. Pixels with zero
-    disparity have no finite depth and are skipped along with invalid ones.
+    Each point keeps its source pixel as provenance. A disparity is valid
+    when d > 0 and its depth is finite: pixels with d <= 0 (invalid ones
+    included) and those so small that the depth overflows are skipped.
     z = fx * baseline / d, then x = (u - cx) / fx * z and y = (v - cy) / fy * z
     are written straight into the columns of the (n, 3) points array.
     """
@@ -157,7 +163,12 @@ def disparity_to_cloud(rig, disp):
         )
     vs, us = np.nonzero(disp > 0)
     points = np.empty((len(vs), 3))
-    z = np.divide(cam.fx * rig.baseline, disp[vs, us], out=points[:, 2])
+    with np.errstate(over="ignore"):
+        z = np.divide(cam.fx * rig.baseline, disp[vs, us], out=points[:, 2])
+    finite = np.isfinite(z)
+    if not finite.all():
+        vs, us, points = vs[finite], us[finite], points[finite]
+        z = points[:, 2]
     np.multiply((us - cam.cx) / cam.fx, z, out=points[:, 0])
     np.multiply((vs - cam.cy) / cam.fy, z, out=points[:, 1])
     provenance = np.stack([us, vs], axis=1)
@@ -223,6 +234,8 @@ def read_disparity(path):
         w, h = int(parts[0]), int(parts[1])
     except ValueError:
         raise ParseError(1, "non-integer dimensions") from None
+    if w < 0 or h < 0:
+        raise ParseError(1, f"negative dimensions {w} x {h}")
 
     def parse_loop():
         lines = list(text_lines(path))
@@ -241,7 +254,6 @@ def read_disparity(path):
                 raise ParseError(i + 2, "non-finite disparity")
         return disp
 
-    # a negative h reads no rows here and fails in parse_loop
-    disp = parse_float_rows(itertools.islice(lines, max(h, 0)), (h, w), parse_loop)
+    disp = parse_float_rows(itertools.islice(lines, h), (h, w), parse_loop)
     disp[disp < 0] = INVALID
     return disp

@@ -297,6 +297,29 @@ class TestErrors:
         assert err == "cloud: ParseError: line 3: non-finite disparity\n"
         assert not (tmp_path / "c.ply").exists()
 
+    @pytest.mark.parametrize("header", ["2 -3", "-2 3"])
+    def test_negative_disparity_dimensions_exit_1(self, tmp_path, capsys, header):
+        disp = tmp_path / "d.txt"
+        disp.write_text(header + "\n")
+        assert main(["cloud", str(disp), "--out", str(tmp_path / "c.ply")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("cloud: ParseError: line 1: negative dimensions")
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.ply").exists()
+
+    def test_overflowing_depths_leave_no_points(self, tmp_path, capsys):
+        # every pixel's depth 60 / 1e-320 overflows, so no pixel is valid and
+        # SOR has nothing to filter (was a cKDTree traceback on inf points)
+        disp = tmp_path / "d.txt"
+        disp.write_text("8 8\n" + ("1e-320 " * 8 + "\n") * 8)
+        argv = ["cloud", str(disp), "--out", str(tmp_path / "c.ply"),
+                "--image-width", "8", "--image-height", "8", "--cx", "4", "--cy", "4",
+                "--sor-k", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "cloud-filter: TooFewPoints: cloud of size 0 needs more than k=2 points\n"
+        assert not (tmp_path / "c.ply").exists()
+
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["planes"])  # missing required args

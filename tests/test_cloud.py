@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -351,9 +353,17 @@ class TestPeakAllocation:
         # file's lines as str objects alone would be about 3x the file
         pts = rng.uniform(-2.0, 2.0, (100_000, 3))
         path = tmp_path / "c.ply"
-        write_ply(path, PointCloud(pts))
+        reference_write_ply(path, PointCloud(pts))
         peak = peak_bytes(read_ply, path)
         assert peak < path.stat().st_size + 1.5 * pts.nbytes
+
+    def test_read_binary_ply_holds_the_points_once(self, tmp_path, rng):
+        # the points and the finiteness mask (1/8x); a copy of the file's
+        # bytes on top of that would pass 2x
+        pts = rng.uniform(-2.0, 2.0, (100_000, 3))
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(pts))
+        assert peak_bytes(read_ply, path) < 1.25 * pts.nbytes
 
 
 class TestPlyIO:
@@ -469,36 +479,58 @@ PLY_HEADER = (
 )
 
 
+def binary_ply_header(n):
+    """The header write_ply writes for an n-point cloud, byte for byte."""
+    return (
+        b"ply\nformat binary_little_endian 1.0\nelement vertex %d\n"
+        b"property double x\nproperty double y\nproperty double z\nend_header\n" % n
+    )
+
+
+# the extremes a cloud's bits must survive: signed zero, tiny, huge, subnormal
+EXTREMES = [-0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -2.5e-310, 2.2250738585072e-308]
+
+
 class TestPlyCodecMatchesReference:
+    """write_ply writes the header and the points' little-endian float64
+    bytes; read_ply gives those bits back, and reads ASCII files as the
+    per-line oracle does."""
+
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 10_001])
     def test_bytes_and_values(self, tmp_path, rng, n):
-        # magnitudes from 1e-8 to 1e8 of either sign, some -0.0; more rows
-        # than one write block for the larger sizes
+        # magnitudes from 1e-8 to 1e8 of either sign, some -0.0, and the
+        # extremes in the first rows
         pts = 10.0 ** rng.uniform(-8, 8, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
         pts[rng.random((n, 3)) < 0.02] = -0.0
-        fast, ref = tmp_path / "fast.ply", tmp_path / "ref.ply"
-        write_ply(fast, PointCloud(pts))
-        reference_write_ply(ref, PointCloud(pts))
-        assert fast.read_bytes() == ref.read_bytes()
-        back = read_ply(fast)
+        k = min(len(EXTREMES), pts.size)
+        pts.flat[:k] = EXTREMES[:k]
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(pts))
+        assert path.read_bytes() == binary_ply_header(n) + pts.astype("<f8").tobytes()
+        back = read_ply(path)
         assert back.points.shape == (n, 3)
-        assert back.points.tobytes() == reference_read_ply(ref).points.tobytes()
+        assert back.points.tobytes() == pts.tobytes()
+        # an ASCII file, as other tools write them, reads as the oracle reads it
+        ref = tmp_path / "ref.ply"
+        reference_write_ply(ref, PointCloud(pts))
+        assert read_ply(ref).points.tobytes() == reference_read_ply(ref).points.tobytes()
 
     def test_special_values(self, tmp_path):
         pts = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e-300, -1e300]])
-        fast, ref = tmp_path / "fast.ply", tmp_path / "ref.ply"
-        write_ply(fast, PointCloud(pts))
-        reference_write_ply(ref, PointCloud(pts))
-        assert fast.read_bytes() == ref.read_bytes()
-        assert fast.read_text().endswith("end_header\n-0 nan inf\n-inf 1e-300 -1e+300\n")
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(pts))
+        assert path.read_bytes() == binary_ply_header(2) + pts.astype("<f8").tobytes()
         # nan and inf are written as they are, but no reader takes them back
-        assert ply_outcome(read_ply, fast) == ply_outcome(reference_read_ply, ref) == (
+        assert ply_outcome(read_ply, path) == ("ParseError", 7, "line 7: non-finite coordinate")
+        ref = tmp_path / "ref.ply"
+        reference_write_ply(ref, PointCloud(pts))
+        assert ply_outcome(read_ply, ref) == ply_outcome(reference_read_ply, ref) == (
             "ParseError", 8, "line 8: non-finite coordinate"
         )
         finite = tmp_path / "finite.ply"
-        write_ply(finite, PointCloud([[-0.0, 1e-300, -1e300]]))
+        write_ply(finite, PointCloud(EXTREMES[:6]))
         back = read_ply(finite)
-        assert back.points.tobytes() == reference_read_ply(finite).points.tobytes()
+        assert back.points.tobytes() == np.array(EXTREMES[:6]).tobytes()
         assert np.signbit(back.points[0, 0])
 
     @pytest.mark.parametrize("token", ["nan", "-nan", "inf", "-inf", "1e999"])
@@ -579,3 +611,58 @@ class TestPlyLineBreaks:
             read_ply(path)
         assert exc.value.line == 5
         assert ply_outcome(read_ply, path) == ply_outcome(reference_read_ply, path)
+
+
+BODY_3 = np.arange(9.0).astype("<f8").tobytes()  # three points
+
+
+class TestBinaryPlyErrors:
+    """A binary body has no lines: each error after the header names the
+    end_header line."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda h, b: (h, b[:-1]), "binary body of 71 bytes, expected 72"),
+            (lambda h, b: (h, b[:-24]), "binary body of 48 bytes, expected 72"),
+            (lambda h, b: (h, b + b"\0"), "binary body of 73 bytes, expected 72"),
+            (lambda h, b: (h, b + b"\n"), "binary body of 73 bytes, expected 72"),
+            (lambda h, b: (h.replace(b"little", b"big"), b), "binary PLY must be"),
+            (lambda h, b: (h.replace(b"double x", b"float x"), b), "binary PLY must be"),
+            (lambda h, b: (h.replace(b"double z", b"double w"), b), "binary PLY must be"),
+            (lambda h, b: (h.replace(b"1.0", b"1.1"), b), "binary PLY must be"),
+            (
+                lambda h, b: (h.replace(b"end_header", b"element face 0\nend_header"), b),
+                "binary PLY must be",
+            ),
+            (lambda h, b: (h.replace(b"end_header", b"comment x\nend_header"), b), "binary PLY"),
+            (lambda h, b: (h, b[:-8] + struct.pack("<d", np.nan)), "non-finite coordinate"),
+            (lambda h, b: (h, struct.pack("<d", -np.inf) + b[8:]), "non-finite coordinate"),
+        ],
+    )
+    def test_bad_file_names_end_header(self, tmp_path, edit, message):
+        header, body = edit(binary_ply_header(3), BODY_3)
+        path = tmp_path / "c.ply"
+        path.write_bytes(header + body)
+        end_line = header.split(b"\n").index(b"end_header") + 1
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert exc.value.line == end_line
+        assert str(exc.value).startswith(f"line {end_line}: {message}")
+
+    @pytest.mark.parametrize(
+        "count, message", [(b"-1", "negative vertex count -1"), (b"x", "bad element vertex line")]
+    )
+    def test_bad_vertex_count_names_its_line(self, tmp_path, count, message):
+        path = tmp_path / "c.ply"
+        path.write_bytes(binary_ply_header(3).replace(b"vertex 3", b"vertex " + count) + BODY_3)
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert str(exc.value) == f"line 3: {message}"
+
+    def test_header_without_end_names_its_last_line(self, tmp_path):
+        path = tmp_path / "c.ply"
+        path.write_bytes(binary_ply_header(3).replace(b"end_header\n", b""))
+        with pytest.raises(ParseError) as exc:
+            read_ply(path)
+        assert str(exc.value) == "line 6: header missing vertex count or end_header"

@@ -162,7 +162,8 @@ class TestLocateNodesFromDisparity:
         assert obs[1].camera_point[2] == pytest.approx(2.0)
         assert [o.source_box for o in obs] == boxes
 
-    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan])
+    # 1e-320 > 0, but its depth overflows to inf
+    @pytest.mark.parametrize("value", [-1.0, 0.0, np.nan, 1e-320])
     def test_invalid_disparity_skipped_with_diagnostic(self, value):
         disp = np.full((CAM.height, CAM.width), 25.0)
         disp[240, 320] = value

@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from rebartie import planes as planesmod
 from rebartie.cloud import PointCloud
 from rebartie.errors import DegenerateInput, LayersTooClose, NoConsensus, ParseError
-from rebartie.geometry import fit_plane_least_squares, transform_plane, transform_point
+from rebartie.geometry import (
+    Plane,
+    fit_plane_least_squares,
+    plane_signed_distance,
+    transform_plane,
+    transform_point,
+)
 from rebartie.planes import (
     ParallelPlanePair,
     RansacParams,
@@ -89,6 +96,158 @@ class TestRansac:
         assert np.array_equal(p1.normal, p2.normal)
         assert p1.offset == p2.offset
         assert np.array_equal(i1, i2)
+
+
+def reference_ransac(cloud, params):
+    """The loop that scored every candidate on every point; the exactness oracle."""
+    pts = cloud.points
+    n = pts.shape[0]
+    if n < 3:
+        raise NoConsensus(f"cloud of size {n} cannot support a plane")
+    rng = np.random.default_rng(params.seed)
+    best_count = 0
+    best_plane = None
+    for _ in range(params.iterations):
+        i, j, k = rng.choice(n, size=3, replace=False)
+        a, b = pts[j] - pts[i], pts[k] - pts[i]
+        normal = np.cross(a, b)
+        norm = np.linalg.norm(normal)
+        if norm <= 1e-12 * (np.linalg.norm(a) * np.linalg.norm(b) + 1e-300):
+            continue  # collinear sample
+        normal = normal / norm
+        candidate = Plane(normal, float(normal @ pts[i]))
+        dist = plane_signed_distance(candidate, pts)
+        count = int(np.count_nonzero(np.abs(dist) <= params.inlier_threshold))
+        if count > best_count:
+            best_count = count
+            best_plane = candidate
+    if best_plane is None or best_count / n < params.min_inlier_fraction:
+        raise NoConsensus(
+            f"best inlier fraction {best_count / n:.3f} "
+            f"< {params.min_inlier_fraction}"
+        )
+    inliers = np.flatnonzero(
+        np.abs(plane_signed_distance(best_plane, pts)) <= params.inlier_threshold
+    )
+    refit = fit_plane_least_squares(pts[inliers])
+    inliers = np.flatnonzero(
+        np.abs(plane_signed_distance(refit, pts)) <= params.inlier_threshold
+    )
+    return refit, inliers
+
+
+def ransac_outcome(fn, cloud, params):
+    """The fit as raw bits, or the NoConsensus message."""
+    try:
+        plane, inliers = fn(cloud, params)
+    except NoConsensus as e:
+        return ("NoConsensus", str(e))
+    return plane.normal.tobytes(), plane.offset, inliers.tobytes()
+
+
+def plane_with_outliers(rng, n, plane_frac, noise=0.002):
+    """n points, plane_frac of them on a tilted plane with Gaussian noise
+    along its normal, the rest uniform in the cloud's box, shuffled."""
+    m = int(round(n * plane_frac))
+    normal = np.array([0.1, 1.0, 0.3]) / np.linalg.norm([0.1, 1.0, 0.3])
+    on = rng.uniform(-0.5, 0.5, (m, 3))
+    on -= np.outer(on @ normal - 2.0 + rng.normal(0, noise, m), normal)
+    off = rng.uniform(-0.5, 0.5, (n - m, 3)) + normal * 2.0
+    pts = np.vstack([on, off])
+    return PointCloud(pts[rng.permutation(n)])
+
+
+class TestRansacEarlyExitMatchesReference:
+    """Scoring stops once a candidate cannot win; the fit must not change."""
+
+    @pytest.mark.parametrize(
+        "plane_frac, seed", [(0.95, 1), (0.95, 2), (0.5, 3), (0.5, 4), (0.33, 5), (0.1, 6)]
+    )
+    def test_seeded_clouds(self, plane_frac, seed):
+        rng = np.random.default_rng(seed)
+        cloud = plane_with_outliers(rng, 40_000, plane_frac)
+        params = RansacParams(seed=seed)
+        got = ransac_outcome(ransac_dominant_plane, cloud, params)
+        assert got == ransac_outcome(reference_ransac, cloud, params)
+        if plane_frac > 0.9:
+            assert len(got[2]) / 8 > 0.93 * len(cloud)  # about 94% inliers
+
+    @pytest.mark.parametrize("n", [3, 4, 16_383, 16_384, 16_385, 16_386, 32_769])
+    def test_cloud_sizes_around_the_block(self, n):
+        rng = np.random.default_rng(n)
+        cloud = plane_with_outliers(rng, n, 0.6)
+        params = RansacParams(iterations=100, seed=n)
+        got = ransac_outcome(ransac_dominant_plane, cloud, params)
+        assert got == ransac_outcome(reference_ransac, cloud, params)
+        assert got[0] != "NoConsensus"
+
+    def test_tie_keeps_the_first_maximum(self):
+        # two parallel planes of m points each, the first block all of plane
+        # a: a candidate on plane b that follows one on plane a stops after
+        # block 1 with count + rows left == best, and must not replace it
+        rng = np.random.default_rng(11)
+        m = 10_000
+        pts = rng.uniform(-0.5, 0.5, (2 * m, 3))
+        pts[:m, 1] = 0.0
+        pts[m:, 1] = 1.0
+        cloud = PointCloud(pts)
+        params = RansacParams(seed=3)
+        replay = np.random.default_rng(params.seed)
+        while True:
+            triple = replay.choice(2 * m, size=3, replace=False)
+            if (triple < m).all() or (triple >= m).all():
+                break
+        first = 0 if triple[0] < m else m  # the plane of the first pure triple
+        plane, inliers = ransac_dominant_plane(cloud, params)
+        assert np.array_equal(inliers, np.arange(first, first + m))
+        assert ransac_outcome(ransac_dominant_plane, cloud, params) == ransac_outcome(
+            reference_ransac, cloud, params
+        )
+
+    @staticmethod
+    def scored_rows(monkeypatch):
+        """The row count of every block plane_signed_distance is given."""
+        rows = []
+
+        def counting(plane, p):
+            rows.append(len(p))
+            return plane_signed_distance(plane, p)
+
+        monkeypatch.setattr(planesmod, "plane_signed_distance", counting)
+        return rows
+
+    def test_scores_fewer_rows(self, monkeypatch):
+        # a candidate off the plane stops after its first block of 16,384;
+        # one on it scores every block
+        cloud = plane_with_outliers(np.random.default_rng(1), 100_000, 0.95)
+        rows = self.scored_rows(monkeypatch)
+        ransac_dominant_plane(cloud, RansacParams(seed=1))
+        assert sum(rows) < 0.5 * 500 * len(cloud)
+
+    def test_no_one_row_block(self, monkeypatch):
+        # numpy's product of a single row can round unlike the same row in
+        # a longer block, so a last block of one row joins the block before
+        cloud = plane_with_outliers(np.random.default_rng(2), 16_385, 0.9)
+        rows = self.scored_rows(monkeypatch)
+        ransac_dominant_plane(cloud, RansacParams(iterations=20, seed=2))
+        assert min(rows) > 1 and 16_385 in rows
+
+    def test_block_rows_have_whole_cloud_bits(self):
+        # the exactness rests on this: a BLAS whose matrix-vector product
+        # rounds a row differently inside a block fails here first
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(100_003, 3)) * 3.0
+        rows = planesmod._SCORE_ROWS
+        for _ in range(200):
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            whole = pts @ normal
+            s = int(rng.integers(0, len(pts) - 1))
+            e = int(rng.integers(s + 2, len(pts) + 1))
+            assert (pts[s:e] @ normal).tobytes() == whole[s:e].tobytes()
+            for start in range(0, len(pts), rows):
+                block = pts[start : start + rows]
+                assert (block @ normal).tobytes() == whole[start : start + rows].tobytes()
 
 
 class TestKmeansSplit:

@@ -193,6 +193,10 @@ class TestDisparityToDepth:
         with pytest.raises(NonPositiveDisparity):
             disparity_to_depth(RIG, 0.0)
 
+    def test_overflowing_depth_is_inf(self):
+        # a positive subnormal disparity has no finite depth; no warning
+        assert disparity_to_depth(RIG, np.float64(1e-320)) == np.inf
+
 
 class TestDisparityToCloud:
     def test_single_center_pixel(self):
@@ -223,6 +227,19 @@ class TestDisparityToCloud:
         cloud = disparity_to_cloud(RIG, disp)
         uv = project(RIG.camera, cloud.points)
         assert np.abs(uv - cloud.provenance).max() <= 0.51
+
+    def test_overflowing_depth_skipped_like_zero(self, rng):
+        disp = np.full((120, 160), INVALID)
+        mask = rng.random((120, 160)) < 0.1
+        disp[mask] = rng.uniform(5, 40, mask.sum())
+        expected = disparity_to_cloud(RIG, disp)
+        tiny = rng.random((120, 160)) < 0.05
+        disp[tiny] = rng.choice([1e-320, 5e-324, 1e-310], tiny.sum())
+        cloud = disparity_to_cloud(RIG, disp)
+        kept = ~tiny[expected.provenance[:, 1], expected.provenance[:, 0]]
+        assert np.isfinite(cloud.points).all()
+        assert cloud.points.tobytes() == expected.points[kept].tobytes()
+        assert np.array_equal(cloud.provenance, expected.provenance[kept])
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
