@@ -16,6 +16,12 @@ _PLY_BINARY_HEADER = (
     "property double x\nproperty double y\nproperty double z\nend_header\n"
 )
 
+# Rows per block when write_ply rounds a cloud.
+_WRITE_ROWS = 16384
+
+# 10**k for k = 0..22: every one is a double, so scaling by one rounds once.
+_POW10 = np.array([float(10**k) for k in range(23)])
+
 # Points per SOR kNN query: with k = 16 the query returns about 4.5 MB of
 # distances and indices per block, where the whole 727k-point stereo cloud
 # at once would take about 200 MB.
@@ -132,12 +138,46 @@ def voxel_downsample(cloud, voxel_size=0.005):
 
 
 def write_ply(path, cloud):
-    """Write a binary little-endian PLY of double x/y/z: every coordinate
-    to the bit, with no per-point formatting."""
+    """Write a binary little-endian PLY of double x/y/z.
+
+    Each coordinate is stored as float("%.6g" % v), the value the ASCII
+    cloud.ply held: mask's pixel rounding moves with the 7th digit, so a
+    full-precision cloud would change its masks.
+    """
     pts = cloud.points
     with open(path, "wb") as f:
         f.write(_PLY_BINARY_HEADER.format(n=pts.shape[0]).encode("ascii"))
-        pts.astype("<f8", copy=False).tofile(f)
+        for start in range(0, pts.shape[0], _WRITE_ROWS):
+            block = round_to_6_digits(pts[start : start + _WRITE_ROWS].ravel())
+            block.astype("<f8", copy=False).tofile(f)
+
+
+def round_to_6_digits(values):
+    """float("%.6g" % v) for each of a 1-D float64 array, bit for bit.
+
+    v times (or over) an exact power of ten 10**k puts its 6 significant
+    digits before the point with one rounding, so rint gives the digits m
+    unless the scaled value lies within 1e-6 of a half; m over (or times)
+    the same power then rounds once, as parsing the decimal does. Those
+    near-halves, |k| > 22, zeros and non-finite values are formatted one
+    by one.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = 5 - np.floor(np.log10(np.abs(values)))
+        fast = np.abs(k) <= 21  # room for the correction below
+        k = np.where(fast, k, 0).astype(np.int64)
+        scaled = np.where(k >= 0, values * _POW10[np.abs(k)], values / _POW10[np.abs(k)])
+        # log10 may be one off near a power of ten
+        k += np.abs(scaled) < 1e5
+        k -= np.abs(scaled) >= 1e6
+        scale = _POW10[np.abs(k)]
+        scaled = np.where(k >= 0, values * scale, values / scale)
+        digits = np.rint(scaled)
+        fast &= (np.abs(scaled - digits) < 0.5 - 1e-6) & (np.abs(digits) >= 1e5) & (np.abs(digits) <= 1e6)
+        out = np.where(k >= 0, digits / scale, digits * scale)
+    slow = np.flatnonzero(~fast)
+    out[slow] = [float("%.6g" % v) for v in values[slow].tolist()]
+    return out
 
 
 def text_lines(path):
@@ -210,34 +250,31 @@ def _binary_ply_header(f):
     None unless the file starts with a 'ply' line and a format line that is
     not ascii: the ASCII reader then reads the file from its start.
     """
-    if f.readline().strip() != b"ply":
+    lines = [f.readline(), f.readline()]
+    if lines[0].strip() != b"ply" or lines[1].split()[:2] in ([b"format", b"ascii"], []):
         return None
-    fmt = f.readline().split()
-    if fmt[:1] != [b"format"] or fmt[1:2] == [b"ascii"]:
+    if lines[1].split()[:1] != [b"format"]:
         return None
-    lines = [fmt]
-    lineno = 2
-    for lineno, line in enumerate(f, start=3):
-        lines.append(line.split())
-        if lines[-1] == [b"end_header"]:
+    for line in f:
+        lines.append(line)
+        if line.strip() == b"end_header":
             break
     else:
-        raise ParseError(lineno, "header missing vertex count or end_header")
-    # write_ply's header lines, with this file's vertex count token
-    vertex = lines[1]
-    n = vertex[2].decode("ascii", "replace") if len(vertex) == 3 else "?"
-    want = _PLY_BINARY_HEADER.format(n=n).encode().split(b"\n")[1:-1]
-    if [b" ".join(parts) for parts in lines] != want:
-        raise ParseError(
-            lineno, "binary PLY must be binary_little_endian 1.0 with vertex double x, y, z only"
-        )
+        raise ParseError(len(lines), "header missing vertex count or end_header")
+    vertex = lines[2].split() if len(lines) > 3 else []
+    if vertex[:2] != [b"element", b"vertex"] or len(vertex) != 3:
+        raise ParseError(3, "bad element vertex line")
     try:
         count = int(vertex[2])
     except ValueError:
         raise ParseError(3, "bad element vertex line") from None
     if count < 0:
         raise ParseError(3, f"negative vertex count {count}")
-    return count, lineno
+    if b"".join(lines) != _PLY_BINARY_HEADER.format(n=count).encode():
+        raise ParseError(
+            len(lines), "binary PLY must be binary_little_endian 1.0 with vertex double x, y, z only"
+        )
+    return count, len(lines)
 
 
 def _read_ascii_ply(path):

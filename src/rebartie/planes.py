@@ -143,10 +143,8 @@ def kmeans_split_offsets(offsets):
     rsq = csq[-1] - csq[:-1]
     right = rsq - rsum**2 / (n - counts)
     split = int(np.argmin(left + right)) + 1
-    in_low = np.zeros(n, dtype=bool)
-    in_low[order[:split]] = True
-    low = np.flatnonzero(in_low)
-    high = np.flatnonzero(~in_low)
+    low = np.sort(order[:split])
+    high = np.sort(order[split:])
     return (low, high), (float(v[low].mean()), float(v[high].mean()))
 
 

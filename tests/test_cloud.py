@@ -487,33 +487,38 @@ def binary_ply_header(n):
     )
 
 
-# the extremes a cloud's bits must survive: signed zero, tiny, huge, subnormal
+# the extremes a cloud's values must survive: signed zero, tiny, huge, subnormal
 EXTREMES = [-0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, -2.5e-310, 2.2250738585072e-308]
 
 
 class TestPlyCodecMatchesReference:
-    """write_ply writes the header and the points' little-endian float64
-    bytes; read_ply gives those bits back, and reads ASCII files as the
-    per-line oracle does."""
+    """write_ply writes the header and, as little-endian float64, the values
+    the per-line ASCII oracle's file held; read_ply gives those bits back,
+    and reads ASCII files as the oracle does."""
 
     @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 10_001])
     def test_bytes_and_values(self, tmp_path, rng, n):
         # magnitudes from 1e-8 to 1e8 of either sign, some -0.0, and the
-        # extremes in the first rows
+        # extremes in the first rows; more rows than one write block for
+        # the largest size
         pts = 10.0 ** rng.uniform(-8, 8, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
         pts[rng.random((n, 3)) < 0.02] = -0.0
         k = min(len(EXTREMES), pts.size)
         pts.flat[:k] = EXTREMES[:k]
-        path = tmp_path / "c.ply"
-        write_ply(path, PointCloud(pts))
-        assert path.read_bytes() == binary_ply_header(n) + pts.astype("<f8").tobytes()
-        back = read_ply(path)
-        assert back.points.shape == (n, 3)
-        assert back.points.tobytes() == pts.tobytes()
-        # an ASCII file, as other tools write them, reads as the oracle reads it
         ref = tmp_path / "ref.ply"
         reference_write_ply(ref, PointCloud(pts))
-        assert read_ply(ref).points.tobytes() == reference_read_ply(ref).points.tobytes()
+        held = reference_read_ply(ref).points
+        path = tmp_path / "c.ply"
+        write_ply(path, PointCloud(pts))
+        assert path.read_bytes() == binary_ply_header(n) + held.astype("<f8").tobytes()
+        back = read_ply(path)
+        assert back.points.shape == (n, 3)
+        assert back.points.tobytes() == held.tobytes()
+        # values the file can hold come back bit for bit
+        write_ply(path, back)
+        assert read_ply(path).points.tobytes() == held.tobytes()
+        # an ASCII file, as other tools write them, reads as the oracle reads it
+        assert read_ply(ref).points.tobytes() == held.tobytes()
 
     def test_special_values(self, tmp_path):
         pts = np.array([[-0.0, np.nan, np.inf], [-np.inf, 1e-300, -1e300]])
@@ -611,6 +616,51 @@ class TestPlyLineBreaks:
             read_ply(path)
         assert exc.value.line == 5
         assert ply_outcome(read_ply, path) == ply_outcome(reference_read_ply, path)
+
+
+def format_6g(values):
+    """The 6-digit rounding oracle: each value through "%.6g" and back."""
+    return np.array([float("%.6g" % v) for v in values])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestRoundTo6Digits:
+    """round_to_6_digits is float("%.6g" % v) to the bit, above all where
+    one rounding too many would show: next to halves of the 6th digit and
+    next to powers of ten."""
+
+    def test_random_magnitudes(self, rng):
+        v = 10.0 ** rng.uniform(-30, 30, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        assert same_bits(cloudmod.round_to_6_digits(v), format_6g(v))
+
+    def test_next_to_halves(self, rng):
+        digits = rng.integers(100_000, 1_000_000, 3_000) * 10 + 5
+        exps = rng.integers(-25, 25, 3_000)
+        halves = np.array([float(f"{d}e{e}") for d, e in zip(digits.tolist(), exps.tolist())])
+        v = np.concatenate(
+            [halves, np.nextafter(halves, np.inf), np.nextafter(halves, -np.inf), -halves]
+        )
+        assert same_bits(cloudmod.round_to_6_digits(v), format_6g(v))
+
+    def test_next_to_powers_of_ten(self):
+        p = np.array([float(f"1e{k}") for k in range(-40, 40)])
+        v = np.concatenate(
+            [p, np.nextafter(p, 0), np.nextafter(p, np.inf), p * 0.9999995, p * 9.999995, -p]
+        )
+        assert same_bits(cloudmod.round_to_6_digits(v), format_6g(v))
+
+    def test_special_values(self):
+        v = np.array(
+            [0.0, -0.0, np.inf, -np.inf, 999999.5, 99999.95, 123456.5, 1234565.0]
+            + EXTREMES + [1.7976931348623157e308]
+        )
+        got = cloudmod.round_to_6_digits(v)
+        assert same_bits(got, format_6g(v))
+        assert np.signbit(got[1])
+        assert np.isnan(cloudmod.round_to_6_digits(np.array([np.nan]))).all()
 
 
 BODY_3 = np.arange(9.0).astype("<f8").tobytes()  # three points
