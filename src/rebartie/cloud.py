@@ -251,9 +251,8 @@ def _binary_ply_header(f):
     not ascii: the ASCII reader then reads the file from its start.
     """
     lines = [f.readline(), f.readline()]
-    if lines[0].strip() != b"ply" or lines[1].split()[:2] in ([b"format", b"ascii"], []):
-        return None
-    if lines[1].split()[:1] != [b"format"]:
+    fmt = lines[1].split()
+    if lines[0].strip() != b"ply" or fmt[:1] != [b"format"] or fmt[1:2] == [b"ascii"]:
         return None
     for line in f:
         lines.append(line)
@@ -261,11 +260,8 @@ def _binary_ply_header(f):
             break
     else:
         raise ParseError(len(lines), "header missing vertex count or end_header")
-    vertex = lines[2].split() if len(lines) > 3 else []
-    if vertex[:2] != [b"element", b"vertex"] or len(vertex) != 3:
-        raise ParseError(3, "bad element vertex line")
     try:
-        count = int(vertex[2])
+        count = int(lines[2].removeprefix(b"element vertex "))
     except ValueError:
         raise ParseError(3, "bad element vertex line") from None
     if count < 0:
