@@ -63,7 +63,7 @@ def _cmd_cloud(args):
     # cloud.ply has no place for provenance: drop it, and the map, before SOR
     pc = cloudmod.PointCloud(stereo.disparity_to_cloud(cfg.rig(), disp).points)
     del disp
-    pc = cloudmod.statistical_outlier_removal(pc, cfg.sor_k, cfg.sor_sigma_mult)
+    pc = cloudmod.statistical_outlier_removal(pc, cfg.sor_k, cfg.sor_sigma_mult, cfg.camera())
     pc = cloudmod.voxel_downsample(pc, cfg.voxel_size)
     cloudmod.write_ply(args.out, pc)
     print(f"cloud: {len(pc)} points after window/SOR/voxel -> {args.out}")

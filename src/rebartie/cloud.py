@@ -22,10 +22,17 @@ _WRITE_ROWS = 16384
 # 10**k for k = 0..22: every one is a double, so scaling by one rounds once.
 _POW10 = np.array([float(10**k) for k in range(23)])
 
-# Points per SOR kNN query: with k = 16 the query returns about 4.5 MB of
-# distances and indices per block, where the whole 727k-point stereo cloud
-# at once would take about 200 MB.
-_SOR_QUERY_ROWS = 16384
+# Points per SOR block. Each thread's window-pass scratch holds 48 int64,
+# int32, bool and two float64 values per point at k = 16: 1.4 MB.
+_SOR_BLOCK_ROWS = 1024
+
+# How far x/z and y/z may put a point from its pixel's centre, in pixels,
+# for the window pass to take the point as lying on that pixel's ray.
+_PIXEL_TOL = 1e-6
+
+# The window pass's proof asks for the k-th window distance to lie below the
+# bound by this relative margin, which covers the rounding of both.
+_BOUND_MARGIN = 1e-9
 
 # floor(coord / voxel_size) must lie in [-2**63, 2**63) to be an int64 key.
 _KEY_LIMIT = 2.0**63
@@ -60,12 +67,19 @@ class PointCloud:
         return PointCloud(self.points[indices], prov)
 
 
-def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0):
+def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
     """Drop points whose mean k-nearest-neighbor distance is anomalous.
 
     A point is removed when its mean distance to its k nearest neighbors
     exceeds mu + sigma_mult * sigma, where mu and sigma are taken over the
-    whole cloud. Exact kNN; survivor order preserved.
+    whole cloud; TooFewPoints when no point is left. Exact kNN; survivor
+    order preserved.
+
+    Given the camera the cloud was back-projected with, a point takes its
+    neighbours from its pixel window when _PixelWindows proves them the k
+    nearest; the kd-tree answers every other point, and every point of a
+    cloud that does not lie one point to a pixel ray. Both give the same
+    distances, so the camera changes no result.
     """
     if k < 1:
         raise BadParameter("k must be >= 1")
@@ -74,23 +88,164 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0):
         raise TooFewPoints(f"cloud of size {n} needs more than k={k} points")
     # imported here: scipy.spatial adds about 0.2 s to every subcommand's
     # start-up, and no other stage needs it
+    from concurrent.futures import ThreadPoolExecutor
+
     from scipy.spatial import cKDTree
 
+    points = cloud.points
     # The kNN distances are exact, so the tree's shape, the threads the
     # query runs on and the blocks it is split into cannot change them; the
-    # unbalanced, non-compact tree is the quicker one to build. k+1 because
-    # the query returns each point itself at distance zero.
-    tree = cKDTree(cloud.points, balanced_tree=False, compact_nodes=False)
+    # unbalanced, non-compact tree is the quicker one to build. It is built
+    # before the pixel windows, so its build transient and their index
+    # image are not held at once.
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    windows = None if camera is None else _PixelWindows.build(points, camera, k)
     mean_dists = np.empty(n)
-    for start in range(0, n, _SOR_QUERY_ROWS):
-        block = cloud.points[start : start + _SOR_QUERY_ROWS]
-        dists, _ = tree.query(block, k=k + 1, workers=-1)
-        mean_dists[start : start + len(block)] = dists[:, 1:].mean(axis=1)
-    del tree  # it holds a copy of the points: free it before take copies them
-    mu = mean_dists.mean()
-    sigma = mean_dists.std()
-    keep = np.flatnonzero(mean_dists <= mu + sigma_mult * sigma)
+
+    def work(scratch, starts):
+        for start in starts:
+            stop = min(start + _SOR_BLOCK_ROWS, n)
+            if windows is None:
+                rest = np.arange(start, stop)
+            else:
+                rest = start + windows.fill(points[start:stop], mean_dists[start:stop], scratch)
+            if len(rest):
+                # k+1 because the query returns each point itself at distance zero
+                dists, _ = tree.query(points[rest], k=k + 1)
+                mean_dists[rest] = dists[:, 1:].mean(axis=1)
+
+    # numpy and the tree query release the GIL, so the blocks run in
+    # parallel, each thread taking every threads-th block
+    threads = len(os.sched_getaffinity(0))
+    starts = range(0, n, _SOR_BLOCK_ROWS)
+    scratch = [None if windows is None else windows.scratch() for _ in range(threads)]
+    with ThreadPoolExecutor(threads) as pool:
+        # reading each result re-raises a thread's error
+        list(pool.map(work, scratch, [starts[t::threads] for t in range(threads)]))
+    del tree, windows, scratch
+    threshold = mean_dists.mean() + sigma_mult * mean_dists.std()
+    keep = np.flatnonzero(mean_dists <= threshold)
+    del mean_dists  # its memory, the tree's and the windows' can hold the survivors
+    if len(keep) == 0:
+        raise TooFewPoints(
+            "no point survives: every mean kNN distance exceeds "
+            f"mu + sigma_mult * sigma = {threshold:.6g}"
+        )
     return cloud.take(keep)
+
+
+class _PixelWindows:
+    """Exact kNN distances from each point's (2R+1)^2 pixel window.
+
+    Each point lies on its own pixel's ray: X = z (a, b, 1), a = (u - cx)/fx,
+    b = (v - cy)/fy. A point X' whose pixel lies R+1 or more columns from
+    X's has |a' - a| >= s = (R+1)/fx, so with t the depth difference
+    |X - X'|^2 >= (z d - t |a'|)^2 + t^2 for some d >= s and |a'| <= |a| + d.
+    Its minimum over t, z d / sqrt(1 + (|a| + d)^2), grows with d, so
+    |X - X'| >= z s / sqrt(1 + (|a| + s)^2); rows give the same bound with
+    fy and b. A point whose k-th smallest window distance lies below both
+    bounds has its k nearest neighbours in its window, and their distances,
+    computed as cKDTree computes them, are the tree's bit for bit.
+    """
+
+    def __init__(self, points, camera, k, radius, index):
+        self.flat = np.ascontiguousarray(points).reshape(-1)  # x0 y0 z0 x1 ...
+        self.camera = camera
+        self.k = k
+        self.radius = radius
+        self.index = index  # the point on each pixel, -1 on none; padded by radius
+        # each window pixel but the centre, as flat offsets in the padded image
+        dv, du = np.divmod(np.arange((2 * radius + 1) ** 2), 2 * radius + 1)
+        offsets = (dv - radius) * index.shape[1] + (du - radius)
+        self.offsets = offsets[offsets != 0]
+        # the bound's s for a pixel R+1 away, less the _PIXEL_TOL by which
+        # each of the two points may sit off its pixel's centre
+        self.su = (radius + 1 - 2 * _PIXEL_TOL) / camera.fx
+        self.sv = (radius + 1 - 2 * _PIXEL_TOL) / camera.fy
+
+    @classmethod
+    def build(cls, points, camera, k):
+        """The windows of a cloud, or None unless each point lies on its own
+        pixel's ray: z finite and positive, fx x/z + cx and fy y/z + cy
+        within _PIXEL_TOL of a pixel of the frame, no two points on one
+        pixel. disparity_to_cloud's clouds always do.
+        """
+        w, h = camera.width, camera.height
+        n = len(points)
+        # the smallest window with 3k neighbours or more: R = 3 for k = 16
+        radius = 1
+        while (2 * radius + 1) ** 2 - 1 < 3 * k:
+            radius += 1
+        index = np.full((h + 2 * radius, w + 2 * radius), -1, dtype=np.int32)
+        frame = index[radius : radius + h, radius : radius + w]
+        windows = cls(points, camera, k, radius, index)
+        for start in range(0, n, _SOR_BLOCK_ROWS):
+            block = points[start : start + _SOR_BLOCK_ROWS]
+            z = block[:, 2]
+            if not (np.isfinite(z) & (z > 0)).all():
+                return None
+            uf, vf = windows._image_coords(block)
+            u, v = np.rint(uf), np.rint(vf)
+            on_ray = (np.abs(uf - u) <= _PIXEL_TOL) & (np.abs(vf - v) <= _PIXEL_TOL)
+            if not (on_ray & (u >= 0) & (u < w) & (v >= 0) & (v < h)).all():
+                return None
+            frame[v.astype(np.intp), u.astype(np.intp)] = np.arange(start, start + len(block))
+        if np.count_nonzero(frame >= 0) != n:  # two points on one pixel
+            return None
+        return windows
+
+    def _image_coords(self, block):
+        """Where each point projects: fx x/z + cx and fy y/z + cy."""
+        cam = self.camera
+        x, y, z = block.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
+
+    def bound(self, block):
+        """Each point's distance bound to the points outside its window."""
+        x, y, z = block.T
+        return np.minimum(
+            z * self.su / np.sqrt(1 + (np.abs(x / z) + self.su) ** 2),
+            z * self.sv / np.sqrt(1 + (np.abs(y / z) + self.sv) ** 2),
+        )
+
+    def scratch(self):
+        """One thread's buffers for fill. They are allocated by the calling
+        thread: what a worker thread allocates itself stays in its malloc
+        arena after the thread ends, and adds to the process's peak."""
+        shape = (_SOR_BLOCK_ROWS, len(self.offsets))
+        return [np.empty(shape, dtype) for dtype in (np.intp, np.int32, bool, float, float)]
+
+    def fill(self, block, out, scratch):
+        """Write the mean kNN distance of each point of block whose window
+        proves its k nearest into out; return the others' rows in block."""
+        k, r = self.k, self.radius
+        at, nbr, empty, d2, coord = (a[: len(block)] for a in scratch)
+        u, v = (np.rint(c).astype(np.intp) + r for c in self._image_coords(block))
+        centre = v * self.index.shape[1] + u
+        np.add(centre[:, None], self.offsets, out=at)
+        np.take(self.index.ravel(), at, out=nbr, mode="clip")
+        # (dx*dx + dy*dy) + dz*dz, as cKDTree sums them, one coordinate at a
+        # time from the flat points; an empty pixel (index -1) reads a
+        # clipped index, and its distance is then set to inf. mode="clip"
+        # also spares take a buffered copy of out.
+        np.less(nbr, 0, out=empty)
+        np.multiply(nbr, 3, out=at, dtype=np.intp)
+        d2.fill(0.0)
+        for axis in range(3):
+            np.take(self.flat, at, out=coord, mode="clip")
+            at += 1
+            np.subtract(block[:, axis, None], coord, out=coord)
+            coord *= coord
+            d2 += coord
+        np.copyto(d2, np.inf, where=empty)
+        d2.partition(k - 1, axis=1)
+        bound = self.bound(block) * (1 - _BOUND_MARGIN)
+        proven = d2[:, k - 1] <= bound * bound
+        nearest = d2[proven, :k]
+        nearest.sort(axis=1)
+        out[proven] = np.sqrt(nearest, out=nearest).mean(axis=1)
+        return np.flatnonzero(~proven)
 
 
 def _voxel_key(coords, voxel_size):

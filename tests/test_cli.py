@@ -320,6 +320,18 @@ class TestErrors:
         assert err == "cloud-filter: TooFewPoints: cloud of size 0 needs more than k=2 points\n"
         assert not (tmp_path / "c.ply").exists()
 
+    def test_sor_keeping_no_point_exit_2(self, tmp_path, walkthrough, capsys):
+        # mu - 5 sigma lies below every mean distance (was `cloud: 0 points`
+        # and exit 0, then a NoConsensus in planes)
+        out = tmp_path / "e.ply"
+        argv = ["cloud", str(walkthrough["bundle"] / "disparity.txt"), "--out", str(out),
+                "--sor-sigma-mult", "-5"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cloud-filter: TooFewPoints: no point survives: every mean kNN distance")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["planes"])  # missing required args

@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from rebartie.cloud import (
     voxel_downsample,
     write_ply,
 )
+from rebartie.config import PipelineConfig
 from rebartie.errors import BadParameter, ParseError, TooFewPoints
+from rebartie.geometry import CameraModel, StereoRig
+from rebartie.scene import GridSpec, read_grid_spec, render_disparity, synth_stereo_pair
+from rebartie.stereo import block_match_disparity, disparity_to_cloud, window_disparity_filter
 
 from conftest import peak_bytes
 
@@ -64,6 +69,11 @@ class TestStatisticalOutlierRemoval:
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             statistical_outlier_removal(PointCloud(np.zeros((5, 3))), k=5)
+
+    def test_no_survivor_is_too_few_points(self, rng):
+        # mu - 5 sigma lies below every mean distance
+        with pytest.raises(TooFewPoints, match="no point survives"):
+            statistical_outlier_removal(PointCloud(rng.normal(size=(50, 3))), k=4, sigma_mult=-5.0)
 
     def test_k_zero_is_bad_parameter(self, rng):
         with pytest.raises(BadParameter, match="k must be >= 1"):
@@ -177,7 +187,7 @@ class TestSorMatchesReference:
         pts = rng.normal(size=(500, 3))
         pts[::50] *= 8.0
         cloud = PointCloud(pts, provenance=np.arange(1000).reshape(500, 2))
-        monkeypatch.setattr(cloudmod, "_SOR_QUERY_ROWS", block_rows)
+        monkeypatch.setattr(cloudmod, "_SOR_BLOCK_ROWS", block_rows)
         out = statistical_outlier_removal(cloud, k=6, sigma_mult=1.0)
         ref = reference_sor(cloud, 6, 1.0)
         assert same_bits(out.points, ref.points)
@@ -326,7 +336,7 @@ class TestSorQueryBlockEdges:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("blocks", [1, 2])
     def test_matches_reference(self, offset, blocks):
-        n = blocks * cloudmod._SOR_QUERY_ROWS + offset
+        n = blocks * cloudmod._SOR_BLOCK_ROWS + offset
         rng = np.random.default_rng(n)
         pts = rng.normal(size=(n, 3))
         pts[::97] *= 6.0
@@ -334,6 +344,234 @@ class TestSorQueryBlockEdges:
         out = statistical_outlier_removal(cloud, k=8, sigma_mult=1.0)
         assert 0 < len(out) < n
         assert same_bits(out.points, reference_sor(cloud, 8, 1.0).points)
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_window_pass_matches_reference(self, offset, blocks, tree_rows):
+        n = blocks * cloudmod._SOR_BLOCK_ROWS + offset
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp).take(np.arange(n))
+        out = statistical_outlier_removal(cloud, k=8, sigma_mult=1.0, camera=camera)
+        assert 0 < len(out) < n
+        assert 0 < sum(tree_rows) < n
+        assert same_bits(out.points, reference_sor(cloud, 8, 1.0).points)
+
+
+def grid_cloud(camera, disp):
+    """The cloud disparity_to_cloud makes of disp: one point per valid pixel."""
+    return disparity_to_cloud(StereoRig(camera, 0.06), disp)
+
+
+def jumps_and_holes_map(seed=7):
+    """A 96x64 map, valid up to every image border: a tilted background,
+    two boxes far nearer the camera, 10% holes and a 1-pixel-wide spike."""
+    camera = CameraModel(80.0, 80.0, 48.0, 32.0, 96, 64)
+    v, u = np.mgrid[0:64, 0:96]
+    disp = 3.0 + 0.02 * u + 0.01 * v
+    disp[10:30, 20:45] = 25.0
+    disp[35:60, 60:90] = 12.0 + 0.1 * v[35:60, 60:90]
+    disp[:, 50] = 40.0
+    disp[np.random.default_rng(seed).random(disp.shape) < 0.1] = -1.0
+    return camera, disp
+
+
+@pytest.fixture
+def tree_rows(monkeypatch):
+    """Rows the kd-tree answers in each block of the window pass."""
+    rows = []
+    fill = cloudmod._PixelWindows.fill
+
+    def counted(self, block, out, scratch):
+        rest = fill(self, block, out, scratch)
+        rows.append(len(rest))
+        return rest
+
+    monkeypatch.setattr(cloudmod._PixelWindows, "fill", counted)
+    return rows
+
+
+def stereo_cloud(spec):
+    """The cloud `cloud` makes of the spec's stereo pair before SOR."""
+    cfg = PipelineConfig()
+    rig = cfg.rig()
+    left, right = synth_stereo_pair(spec, render_disparity(spec, rig))
+    disp = block_match_disparity(left, right, cfg.block_radius, cfg.max_disparity)
+    disp = window_disparity_filter(disp, cfg.window, cfg.delta)
+    return PointCloud(disparity_to_cloud(rig, disp).points), cfg.camera()
+
+
+@pytest.fixture(scope="module")
+def default_stereo():
+    return stereo_cloud(GridSpec())
+
+
+class TestSorPixelWindows:
+    """The window pass gives the kd-tree's survivors bit for bit."""
+
+    def test_rendered_default_scene(self, tree_rows):
+        cfg = PipelineConfig()
+        cloud = grid_cloud(cfg.camera(), render_disparity(GridSpec(), cfg.rig()))
+        out = statistical_outlier_removal(cloud, camera=cfg.camera())
+        ref = reference_sor(cloud, 16, 1.0)
+        assert same_bits(out.points, ref.points)
+        assert np.array_equal(out.provenance, ref.provenance)
+        assert sum(tree_rows) < 0.05 * len(cloud)
+
+    @pytest.mark.parametrize("scene", ["jumps", "rendered"])
+    def test_window_means_are_the_trees_bit_for_bit(self, scene):
+        # survivors hide a last-bit change in a mean; compare the means
+        cfg = PipelineConfig()
+        if scene == "jumps":
+            camera, disp = jumps_and_holes_map()
+        else:
+            camera, disp = cfg.camera(), render_disparity(GridSpec(), cfg.rig())
+        points = grid_cloud(camera, disp).points
+        windows = cloudmod._PixelWindows.build(points, camera, 16)
+        means = np.full(len(points), np.nan)
+        scratch = windows.scratch()
+        for start in range(0, len(points), cloudmod._SOR_BLOCK_ROWS):
+            stop = start + cloudmod._SOR_BLOCK_ROWS
+            windows.fill(points[start:stop], means[start:stop], scratch)
+        proven = np.flatnonzero(~np.isnan(means))
+        assert len(proven) > 0.8 * len(points)
+        dists, _ = cKDTree(points).query(points[proven], k=17)
+        assert same_bits(means[proven], dists[:, 1:].mean(axis=1))
+
+    def test_tilted_bench_scene_stereo(self, tmp_path):
+        from perfbench.inputs import scene_spec
+
+        path = tmp_path / "scene.txt"
+        path.write_text(scene_spec(9001, 2))
+        cloud, camera = stereo_cloud(read_grid_spec(path))
+        out = statistical_outlier_removal(cloud, camera=camera)
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+
+    def test_default_stereo_tree_answers_under_5_percent(self, default_stereo, tree_rows):
+        # about 0.9%: a bound too weak to prove most windows would pass the
+        # bit tests on the tree's answers alone
+        cloud, camera = default_stereo
+        statistical_outlier_removal(cloud, camera=camera)
+        assert len(tree_rows) > 0
+        assert sum(tree_rows) < 0.05 * len(cloud)
+
+    @pytest.mark.parametrize("k", [1, 16, 60])  # 60 needs R = 7, not 3
+    @pytest.mark.parametrize("sigma_mult", [1.0, -0.5])
+    def test_depth_jumps_holes_and_borders(self, k, sigma_mult, tree_rows):
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        out = statistical_outlier_removal(cloud, k=k, sigma_mult=sigma_mult, camera=camera)
+        ref = reference_sor(cloud, k, sigma_mult)
+        assert same_bits(out.points, ref.points)
+        assert np.array_equal(out.provenance, ref.provenance)
+        assert 0 < sum(tree_rows) < len(cloud)
+
+    @pytest.mark.parametrize("k", [1, 16])
+    def test_sparse_random_pixels(self, rng, k, tree_rows):
+        camera = CameraModel(100.0, 90.0, 60.0, 40.0, 120, 80)
+        disp = np.where(rng.random((80, 120)) < 0.03, rng.uniform(1.0, 30.0, (80, 120)), -1.0)
+        cloud = grid_cloud(camera, disp)
+        out = statistical_outlier_removal(cloud, k=k, camera=camera)
+        assert same_bits(out.points, reference_sor(cloud, k, 1.0).points)
+        assert sum(tree_rows) > len(cloud) // 2  # most windows are too empty to prove
+
+    def test_cloud_off_its_pixel_rays_takes_the_tree(self, tree_rows):
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        cloud.points[5, 0] += 1e-4 * cloud.points[5, 2] / camera.fx  # 1e-4 px off
+        assert cloudmod._PixelWindows.build(cloud.points, camera, 16) is None
+        out = statistical_outlier_removal(cloud, camera=camera)
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+        assert tree_rows == []
+
+    def test_two_points_on_one_pixel_take_the_tree(self, tree_rows):
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        cloud = PointCloud(np.vstack([cloud.points, 1.5 * cloud.points[:1]]))  # pixel 0's ray
+        assert cloudmod._PixelWindows.build(cloud.points, camera, 16) is None
+        out = statistical_outlier_removal(cloud, camera=camera)
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+        assert tree_rows == []
+
+    def test_point_outside_the_frame_takes_the_tree(self):
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        small = CameraModel(80.0, 80.0, 48.0, 32.0, 95, 64)  # column 95 is outside
+        assert cloudmod._PixelWindows.build(cloud.points, small, 16) is None
+        out = statistical_outlier_removal(cloud, camera=small)
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+
+    @pytest.mark.parametrize("threads", [1, 8])  # 8: more threads than this machine has CPUs
+    def test_thread_count_does_not_change_survivors(self, default_stereo, monkeypatch, threads):
+        # the threads write disjoint rows of one mean-distance array; a short
+        # switch interval interleaves them as often as it can
+        cloud, camera = default_stereo
+        cloud = cloud.take(np.arange(100_000))
+        default = statistical_outlier_removal(cloud, camera=camera)
+        monkeypatch.setattr(cloudmod.os, "sched_getaffinity", lambda pid: set(range(threads)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            out = statistical_outlier_removal(cloud, camera=camera)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_bits(out.points, default.points)
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+
+
+class TestWindowBound:
+    """With k = 1 the window is 3x3 (R = 1): X on pixel (40, 24), its only
+    window neighbour N on (41, 24) at distance rho, and X' on (42, 24), just
+    outside the window, at the depth that brings it nearest to X: there its
+    distance z s / sqrt(1 + (|a| + s)^2) equals the bound's, s = 2 px / fx."""
+
+    camera = CameraModel(100.0, 100.0, 32.0, 24.0, 64, 48)
+    x = np.array([0.16, 0.0, 2.0])  # a = 0.08, b = 0
+
+    def nearest_outside(self):
+        a2 = 0.10
+        t = a2 * self.x[2] * (0.08 - a2) / (1 + a2 * a2)  # argmin over the depth change
+        return (self.x[2] + t) * np.array([a2, 0.0, 1.0])
+
+    def at_distance(self, rho):
+        # N = zn (0.09, 0, 1) with |N - X| = rho: the far root of the quadratic
+        a, z = 0.09, self.x[2]
+        qa, qb, qc = 1 + a * a, -2 * (a * self.x[0] + z), self.x[0] ** 2 + z * z - rho * rho
+        zn = (-qb + np.sqrt(qb * qb - 4 * qa * qc)) / (2 * qa)
+        return zn * np.array([a, 0.0, 1.0])
+
+    def windows(self, points):
+        windows = cloudmod._PixelWindows.build(points, self.camera, 1)
+        assert windows is not None and windows.radius == 1
+        return windows
+
+    def test_bound_is_the_nearest_outside_distance(self):
+        far = self.nearest_outside()
+        pts = np.array([self.x, far])
+        bound = self.windows(pts).bound(pts[:1])[0]
+        dist = np.linalg.norm(far - self.x)
+        assert bound <= dist <= bound * (1 + 1e-5)
+
+    def fill_x(self, rho):
+        pts = np.array([self.x, self.at_distance(rho), self.nearest_outside()])
+        windows = self.windows(pts)
+        out = np.full(1, np.nan)
+        rest = windows.fill(pts[:1], out, windows.scratch())
+        cloud = PointCloud(pts)
+        out_sor = statistical_outlier_removal(cloud, k=1, camera=self.camera)
+        assert same_bits(out_sor.points, reference_sor(cloud, 1, 1.0).points)
+        return rest, out[0], np.linalg.norm(pts[1] - pts[0])
+
+    def test_neighbour_inside_the_bound_is_proven(self):
+        bound = self.windows(np.array([self.x])).bound(self.x[None])[0]
+        rest, mean, rho = self.fill_x(bound * (1 - 1e-6))
+        assert len(rest) == 0
+        assert mean == pytest.approx(rho, rel=1e-15)
+
+    def test_neighbour_beyond_the_outside_point_is_not(self):
+        rho = np.linalg.norm(self.nearest_outside() - self.x) * (1 + 1e-5)
+        rest, mean, _ = self.fill_x(rho)
+        assert list(rest) == [0]
+        assert np.isnan(mean)
 
 
 class TestPeakAllocation:
@@ -347,6 +585,24 @@ class TestPeakAllocation:
         pts = rng.uniform(-1.0, 1.0, (200_000, 3))
         cloud = PointCloud(pts)
         assert peak_bytes(voxel_downsample, cloud, 1e-6) < 2.5 * pts.nbytes
+
+    def test_sor_holds_no_whole_cloud_scratch(self, rng, monkeypatch):
+        # the tree keeps a view of the points and its indices (1/3x), then
+        # the mean distances (1/3x), the pixel-index image, each thread's
+        # block scratch and half as much again for its block's own arrays
+        # (the tree's answers for the rows it cannot prove, row vectors),
+        # and 0.1x for the rest; a whole-cloud pixel array (2/3x) or
+        # coordinate (1/3x) would pass the bound. Noisy depths make the
+        # tree answer most rows, and sigma_mult = -1 keeps about a sixth of
+        # the points, so the survivors stay below the bound.
+        monkeypatch.setattr(cloudmod.os, "sched_getaffinity", lambda pid: {0, 1})
+        camera = CameraModel(500.0, 500.0, 320.0, 240.0, 640, 480)
+        cloud = PointCloud(grid_cloud(camera, rng.uniform(20.0, 25.0, (480, 640))).points)
+        image = (480 + 6) * (640 + 6) * 4
+        scratch = cloudmod._SOR_BLOCK_ROWS * 48 * (8 + 4 + 1 + 8 + 8)
+        size = cloud.points.nbytes
+        bound = (1 / 3 + 1 / 3 + 0.1) * size + image + 2 * 1.5 * scratch
+        assert peak_bytes(statistical_outlier_removal, cloud, 16, -1.0, camera) < bound
 
     def test_read_ply_holds_no_list_of_lines(self, tmp_path, rng):
         # the file's bytes, the points and one parse chunk; a list of the
