@@ -19,6 +19,7 @@ from . import masking, metrics, nodes, pnm, robot, scene, stereo
 from . import planes as planesmod
 from .config import CAMERA_KEYS, RIG_KEYS, PipelineConfig, load_pipeline_config
 from .errors import INPUT_ERRORS, ParseError, RebarTieError
+from .textio import read_text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,7 +117,7 @@ def _cmd_nodes(args):
     if args.disparity is not None and args.planes is not None:
         args.usage_error("planes is not read with --disparity: the node depth comes from the disparity map")
     cfg = _config_from_args(args)
-    boxes = nodes.parse_yolo_labels(Path(args.labels).read_text())
+    boxes = nodes.parse_yolo_labels(read_text(args.labels))
     calib = framesmod.read_calibration_file(args.calibration)
     if args.disparity is not None:
         disp = stereo.read_disparity(args.disparity)
@@ -217,29 +218,28 @@ def _cmd_synth(args):
 
 def _read_points_file(path):
     pts = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) == 4:
-                parts = parts[1:]  # tie-point file: index x y z
-            if len(parts) != 3:
-                raise ParseError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
-            try:
-                pts.append([float(v) for v in parts])
-            except ValueError:
-                raise ParseError(lineno, "non-numeric coordinate") from None
-            if not np.isfinite(pts[-1]).all():
-                raise ParseError(lineno, "non-finite coordinate")
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) == 4:
+            parts = parts[1:]  # tie-point file: index x y z
+        if len(parts) != 3:
+            raise ParseError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
+        try:
+            pts.append([float(v) for v in parts])
+        except ValueError:
+            raise ParseError(lineno, "non-numeric coordinate") from None
+        if not np.isfinite(pts[-1]).all():
+            raise ParseError(lineno, "non-finite coordinate")
     return np.array(pts).reshape(-1, 3)
 
 
 def _cmd_eval(args):
     cfg = _config_from_args(args)
     if args.labels:
-        pred = nodes.parse_yolo_labels(Path(args.predicted).read_text())
-        gt = nodes.parse_yolo_labels(Path(args.ground_truth).read_text())
+        pred = nodes.parse_yolo_labels(read_text(args.predicted))
+        gt = nodes.parse_yolo_labels(read_text(args.ground_truth))
         acc = metrics.detection_accuracy(pred, gt, cfg.iou_threshold)
         print(f"eval: detection accuracy {acc:.4f} at IoU {cfg.iou_threshold}")
         if args.out:

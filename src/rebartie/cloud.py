@@ -1,14 +1,13 @@
 """Point clouds and conditioning: statistical outlier removal, voxel downsampling."""
 
-import io
 import itertools
 import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParameter, ParseError, TooFewPoints
+from .textio import parse_float_rows, text_lines
 
 # The header write_ply writes, and the only binary header read_ply takes.
 _PLY_BINARY_HEADER = (
@@ -335,48 +334,6 @@ def round_to_6_digits(values):
     return out
 
 
-def text_lines(path):
-    """Iterate over a text file's lines as ``open(path).read().splitlines()``
-    lists them.
-
-    ASCII text whose only line break is "\n", which is every file the
-    pipeline writes, is split lazily from its bytes, each line keeping its
-    "\n": the list of a 394k-point cloud's lines alone takes about 30 MB.
-    Any other file is decoded and split whole.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data.isascii() and not any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
-        return map(bytes.decode, io.BytesIO(data))
-    with open(path) as f:
-        return iter(f.read().splitlines())
-
-
-def parse_float_rows(lines, shape, parse_loop):
-    """Parse whitespace-separated float rows, one row per line.
-
-    numpy's C parser reads the iterable ``lines`` (exactly the rows
-    expected) and its result is kept only when it has ``shape`` and every
-    value is finite.
-    Otherwise, or when it fails, ``parse_loop()`` decides: the line-by-line
-    parser that returns the array or raises ParseError naming the offending
-    line, which is also how a nan or inf is rejected. The C parser rejects
-    every token ``float()`` rejects, but also some it accepts (``1_0``), and
-    it skips blank lines; the loop settles both.
-    """
-    try:
-        with warnings.catch_warnings():
-            # loadtxt warns when no line holds data; the shape check catches it
-            warnings.simplefilter("ignore", UserWarning)
-            rows = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        pass
-    else:
-        if rows.shape == shape and np.isfinite(rows).all():
-            return rows
-    return parse_loop()
-
-
 def read_ply(path):
     """Read a PLY cloud: the binary layout write_ply writes, or ASCII rows.
 
@@ -452,23 +409,5 @@ def _read_ascii_ply(path):
         last = lineno + sum(1 for _ in lines)  # the error names the file's last line
         raise ParseError(last, "header missing vertex count or end_header")
 
-    def parse_loop():
-        lines = list(text_lines(path))
-        pts = np.empty((count, 3))
-        for j in range(count):
-            lineno = body_start + 1 + j
-            if lineno > len(lines):
-                raise ParseError(lineno, "fewer vertex lines than declared")
-            parts = lines[lineno - 1].split()
-            if len(parts) != 3:
-                raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
-            try:
-                pts[j] = [float(v) for v in parts]
-            except ValueError:
-                raise ParseError(lineno, "non-numeric coordinate") from None
-            if not np.isfinite(pts[j]).all():
-                raise ParseError(lineno, "non-finite coordinate")
-        return pts
-
     body = itertools.islice(lines, count)
-    return PointCloud(parse_float_rows(body, (count, 3), parse_loop))
+    return PointCloud(parse_float_rows(body, path, body_start + 1, (count, 3), "coordinate"))

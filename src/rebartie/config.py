@@ -6,10 +6,10 @@ are only parsed here: each range rule lives in the stage that uses the value.
 
 import math
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .errors import ParseError
 from .geometry import CameraModel, StereoRig
+from .textio import read_text
 
 # The keys camera() and rig() read, in CameraModel's argument order.
 CAMERA_KEYS = ("fx", "fy", "cx", "cy", "image_width", "image_height")
@@ -80,29 +80,29 @@ def parse_keyvalues(text):
     return values
 
 
+def convert_keyvalues(values, types):
+    """{key: value} from parse_keyvalues' {key: (line, text)} by a {key: type}
+    table; an unknown key, a bad value or a non-finite float is a ParseError."""
+    out = {}
+    for key, (lineno, val) in values.items():
+        if key not in types:
+            raise ParseError(lineno, f"unknown config key {key!r}")
+        try:
+            out[key] = types[key](val)
+        except ValueError:
+            raise ParseError(lineno, f"bad value for {key}: {val!r}") from None
+        if types[key] is float and not math.isfinite(out[key]):
+            raise ParseError(lineno, f"non-finite value for {key}: {val!r}")
+    return out
+
+
 def load_pipeline_config(path=None, overrides=None):
     """Build a PipelineConfig from an optional file plus explicit overrides."""
     raw = {}
     if path is not None:
-        raw.update(parse_keyvalues(Path(path).read_text()))
+        raw.update(parse_keyvalues(read_text(path)))
     if overrides:
         # a flag has no line: 0
         raw.update({k: (0, v) for k, v in overrides.items() if v is not None})
-    kwargs = {}
     types = {f.name: f.type for f in fields(PipelineConfig)}
-    for key, (lineno, val) in raw.items():
-        if key not in types:
-            raise ParseError(lineno, f"unknown config key {key!r}")
-        ftype = types[key]
-        try:
-            if ftype is int:
-                kwargs[key] = int(val)
-            elif ftype is float:
-                kwargs[key] = float(val)
-                if not math.isfinite(kwargs[key]):
-                    raise ParseError(lineno, f"non-finite value for {key}: {val!r}")
-            else:
-                kwargs[key] = str(val)
-        except ValueError:
-            raise ParseError(lineno, f"bad value for {key}: {val!r}") from None
-    return PipelineConfig(**kwargs)
+    return PipelineConfig(**convert_keyvalues(raw, types))

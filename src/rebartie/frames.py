@@ -5,12 +5,12 @@ solved here; the calibration file is the boundary with whatever produced it.
 """
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import BadCalibration, BadParameter, ParseError
 from .geometry import RigidTransform, transform_point
+from .textio import read_text
 
 _CALIB_TOL = 1e-6
 
@@ -92,7 +92,7 @@ def format_calibration(calib):
 
 
 def read_calibration_file(path):
-    return load_calibration(Path(path).read_text())
+    return load_calibration(read_text(path))
 
 
 def camera_to_base(calib, p):
@@ -148,20 +148,19 @@ def write_tie_points(path, ties):
 
 def read_tie_points(path):
     ties = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 4:
-                raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
-            try:
-                idx = int(parts[0])
-                pos = np.array([float(v) for v in parts[1:]])
-            except ValueError:
-                raise ParseError(lineno, "non-numeric field") from None
-            if not np.all(np.isfinite(pos)):
-                raise ParseError(lineno, "non-finite coordinate")
-            ties.append(TiePoint(position=pos, sequence_index=idx))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != 4:
+            raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
+        try:
+            idx = int(parts[0])
+            pos = np.array([float(v) for v in parts[1:]])
+        except ValueError:
+            raise ParseError(lineno, "non-numeric field") from None
+        if not np.all(np.isfinite(pos)):
+            raise ParseError(lineno, "non-finite coordinate")
+        ties.append(TiePoint(position=pos, sequence_index=idx))
     ties.sort(key=lambda t: t.sequence_index)
     return ties

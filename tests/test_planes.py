@@ -89,6 +89,13 @@ class TestRansac:
         with pytest.raises(NoConsensus):
             ransac_dominant_plane(cloud, params)
 
+    def test_no_consensus_on_a_coordinate_too_large(self, rng):
+        # the fit's fourth powers of 1e80 would overflow
+        cloud = two_layer_cloud(rng, 200, noise=0.002)
+        cloud.points[7, 0] = -1e80
+        with pytest.raises(NoConsensus, match="beyond 1e[+]50 m"):
+            ransac_dominant_plane(cloud, RansacParams(seed=5))
+
     def test_deterministic_given_seed(self, rng):
         cloud = two_layer_cloud(rng, 200, noise=0.002)
         p1, i1 = ransac_dominant_plane(cloud, RansacParams(seed=5))

@@ -414,11 +414,15 @@ class TestGridSpecIO:
         path.write_text("# grid\nrows = 4\ncols = four\n")
         with pytest.raises(ParseError) as exc:
             read_grid_spec(path)
-        assert str(exc.value) == "line 3: bad value for cols"
+        assert str(exc.value) == "line 3: bad value for cols: 'four'"
         path.write_text("rows = 4\ncols\n")
         with pytest.raises(ParseError) as exc:
             read_grid_spec(path)
         assert str(exc.value) == "line 2: expected key = value"
+        path.write_text("rows = 4\nspacng_x = 0.3\n")
+        with pytest.raises(ParseError) as exc:
+            read_grid_spec(path)
+        assert str(exc.value) == "line 2: unknown config key 'spacng_x'"
 
     def test_invalid_spec_is_parse_error(self, tmp_path):
         path = tmp_path / "scene.txt"
@@ -433,3 +437,5 @@ class TestGridSpecIO:
             GridSpec(spacing_x=0.005)
         with pytest.raises(ValueError):
             GridSpec(layer_gap=0.001)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            GridSpec(seed=-1)  # numpy's generators take no negative seed
