@@ -60,14 +60,17 @@ def attach_projected_provenance(cloud, cam):
 
     Serialized clouds (and voxel centroids) carry no source pixels; this
     recovers them for mask rasterization. Points behind the camera or
-    projecting outside the image are dropped.
+    projecting outside the image are dropped, the test made on the rounded
+    float pixel, so a point whose projection overflows or lies beyond the
+    integer range is dropped too.
     """
     pts = cloud.points
     front = pts[:, 2] > 0
     uv = np.full((pts.shape[0], 2), -1.0)
     if front.any():
-        uv[front] = project(cam, pts[front])
-    pix = np.floor(uv + 0.5).astype(int)
+        with np.errstate(over="ignore"):  # an overflow is inf, outside the frame
+            uv[front] = project(cam, pts[front])
+    pix = np.floor(uv + 0.5)
     ok = (
         front
         & (pix[:, 0] >= 0)
@@ -75,7 +78,7 @@ def attach_projected_provenance(cloud, cam):
         & (pix[:, 1] >= 0)
         & (pix[:, 1] < cam.height)
     )
-    return PointCloud(pts[ok], pix[ok])
+    return PointCloud(pts[ok], pix[ok].astype(int))
 
 
 def write_mask(path, mask):

@@ -38,6 +38,8 @@ class RansacParams:
             raise BadParameter("inlier_threshold must be positive")
         if not 0 < self.min_inlier_fraction <= 1:
             raise BadParameter("min_inlier_fraction must be in (0, 1]")
+        if self.seed < 0:
+            raise BadParameter("seed must be >= 0")
 
 
 @dataclass

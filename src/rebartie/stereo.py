@@ -6,6 +6,7 @@ pixels (-1 in files).
 """
 
 import itertools
+import os
 
 import numpy as np
 
@@ -20,33 +21,121 @@ INVALID = -1.0
 UNIQUENESS_RATIO = 0.95
 
 
-# Rows of output per band: a band's matcher state (five int32 arrays of
-# band x width) stays in cache across the disparity loop.
-_BAND_ROWS = 16
+# Rows of output per band. Each thread matches every threads-th band in its
+# own workspace: the band's matcher state (five arrays of band x width) and
+# every per-d temporary, 3.3 MB at 1280 columns.
+_BAND_ROWS = 48
 
 
-def _box_sums(values, radius, rows):
-    """Sums over every full (2r+1)^2 block of ``values`` ((rows + 2r) x m).
-
-    Returns a (rows, m - 2r) array, element [i, j] being the sum of the
-    block whose top-left corner is [i, j].
-    """
-    size = 2 * radius + 1
-    cols = values.shape[1] - 2 * radius
-    vertical = values[0:rows].copy()
-    for k in range(1, size):
-        vertical += values[k : k + rows]
-    sums = vertical[:, 0:cols].copy()
-    for k in range(1, size):
-        sums += vertical[:, k : k + cols]
-    return sums
+def _shaped(flat, rows, cols):
+    """The first rows * cols elements of a flat buffer, as a contiguous array."""
+    return flat[: rows * cols].reshape(rows, cols)
 
 
-def _as_float(costs, unset):
-    """Integer costs as float64, the ``unset`` sentinel as inf."""
-    out = costs.astype(np.float64)
-    out[costs == unset] = np.inf
+class _BandWorkspace:
+    """One thread's buffers for _match_band, for bands of up to ``rows``
+    rows of a w-column image. They are allocated by the calling thread: what
+    a worker thread allocates itself stays in its malloc arena after the
+    thread ends, and adds to the process's peak."""
+
+    def __init__(self, rows, w, r, cost_type):
+        n = rows * (w - 2 * r)
+        self.diff = np.empty((rows + 2 * r) * w, cost_type)
+        self.vertical = np.empty(rows * w, cost_type)
+        self.costs = [np.empty(n, cost_type) for _ in range(2)]
+        self.state = [np.empty(n, cost_type) for _ in range(4)]
+        self.best_d = np.empty(n, np.int32)
+        self.masks = [np.empty(n, bool) for _ in range(2)]
+        self.floats = [np.empty(n) for _ in range(4)]
+
+
+def _as_float(costs, unset, out, mask):
+    """Integer costs as float64 into out, the ``unset`` sentinel as inf."""
+    np.copyto(out, costs)
+    np.equal(costs, unset, out=mask)
+    np.copyto(out, np.inf, where=mask)
     return out
+
+
+def _match_band(lf, rf, y0, y1, r, top, unset, two_candidates, ws, disp):
+    """Match image rows [y0, y1) into disp[y0:y1], in workspace ws.
+
+    Every temporary is a contiguous view of one of ws's flat buffers, so the
+    band allocates nothing.
+    """
+    w = lf.shape[1]
+    rows = y1 - y0
+    cols = w - 2 * r  # state column j is image column j + r
+    size = 2 * r + 1
+    band_l = lf[y0 - r : y1 + r]
+    band_r = rf[y0 - r : y1 + r]
+    best, second, c_minus, c_plus = (_shaped(a, rows, cols) for a in ws.state)
+    best_d = _shaped(ws.best_d, rows, cols)
+    for a in (best, second, c_minus, c_plus):
+        a.fill(unset)
+    best_d.fill(-1)
+    prev = None
+    for d in range(top + 1):
+        m = w - d  # columns where the shifted pair overlaps
+        n = cols - d  # state columns that support candidate d
+        # cost[:, j] is candidate d at state column d + j, and
+        # prev[:, j + 1] is candidate d - 1 at the same column
+        diff = _shaped(ws.diff, rows + 2 * r, m)
+        np.subtract(band_l[:, d:], band_r[:, :m], out=diff)
+        np.abs(diff, out=diff)
+        vertical = _shaped(ws.vertical, rows, m)
+        np.add(diff[0:rows], diff[1 : rows + 1], out=vertical)
+        for k in range(2, size):
+            vertical += diff[k : k + rows]
+        cost = _shaped(ws.costs[d % 2], rows, n)
+        np.add(vertical[:, 0:n], vertical[:, 1 : n + 1], out=cost)
+        for k in range(2, size):
+            cost += vertical[:, k : k + n]
+
+        b = best[:, d:]
+        better = _shaped(ws.masks[0], rows, n)
+        np.less(cost, b, out=better)  # strict: a tie keeps the lower d
+        cp = c_plus[:, d:]
+        follows = _shaped(ws.masks[1], rows, n)
+        np.equal(best_d[:, d:], d - 1, out=follows)
+        np.copyto(cp, cost, where=follows)
+        np.copyto(cp, unset, where=better)
+        # second >= best always, so this is where(better, best, min(second, cost))
+        s = second[:, d:]
+        larger = _shaped(ws.vertical, rows, n)
+        np.maximum(b, cost, out=larger)
+        np.minimum(s, larger, out=s)
+        if prev is not None:
+            np.copyto(c_minus[:, d:], prev[:, 1:], where=better)
+        np.copyto(best_d[:, d:], d, where=better)
+        np.minimum(b, cost, out=b)
+        prev = cost
+
+    best_f, second_f, c_minus_f, c_plus_f = (_shaped(a, rows, cols) for a in ws.floats)
+    valid, mask = (_shaped(a, rows, cols) for a in ws.masks)
+    _as_float(best, unset, best_f, mask)
+    _as_float(second, unset, second_f, mask)
+    second_f *= UNIQUENESS_RATIO
+    np.less(best_f, second_f, out=valid)
+    valid &= two_candidates
+    out = disp[y0:y1, r : w - r]
+    np.copyto(out, best_d, where=valid)
+
+    # parabola fit over (d-1, d, d+1) where both neighbors were evaluated
+    refine = valid
+    refine &= np.isfinite(_as_float(c_minus, unset, c_minus_f, mask), out=mask)
+    refine &= np.isfinite(_as_float(c_plus, unset, c_plus_f, mask), out=mask)
+    denom, shift = second_f, best_f
+    with np.errstate(invalid="ignore"):
+        np.multiply(2.0, best_f, out=denom)
+        np.subtract(c_minus_f, denom, out=denom)
+        denom += c_plus_f
+        refine &= np.greater(denom, 0, out=mask)
+        np.subtract(c_minus_f, c_plus_f, out=shift)
+        shift *= 0.5
+    np.divide(shift, denom, out=shift, where=refine)
+    np.clip(shift, -0.5, 0.5, out=shift, where=refine)
+    np.add(out, shift, out=out, where=refine)
 
 
 def block_match_disparity(left, right, block_radius=2, max_disparity=64):
@@ -59,9 +148,10 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     SAD is >= 0.95x the second best, are marked invalid.
 
     The images are uint8, so every SAD is an exact integer. Rows are matched
-    in bands of _BAND_ROWS. Candidate d is supported at columns
-    [d + r, w - r), so each pixel's supported candidates are d = 0 up to a
-    limit set by its column, and the loop over d touches only those.
+    in bands of _BAND_ROWS, on as many threads as the process may use CPUs.
+    Candidate d is supported at columns [d + r, w - r), so each pixel's
+    supported candidates are d = 0 up to a limit set by its column, and the
+    loop over d touches only those.
     """
     left = np.asarray(left)
     right = np.asarray(right)
@@ -80,58 +170,35 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     top = min(max_disparity, w - size)  # the last d any column supports
     if top < 1 or h < size:
         return disp  # no pixel has two supported candidates
+    # imported here: concurrent.futures, with the logging it imports, adds
+    # several ms to every subcommand's start-up
+    from concurrent.futures import ThreadPoolExecutor
 
-    cost_type = np.int32 if 255 * size * size < np.iinfo(np.int32).max else np.int64
+    # the narrowest integer type whose max lies above every SAD: int16 up
+    # to r = 5, which moves half the bytes of int32 per pass
+    largest = 255 * size * size
+    cost_type = next(t for t in (np.int16, np.int32, np.int64) if largest < np.iinfo(t).max)
     unset = np.iinfo(cost_type).max  # above every SAD: the "inf" cost
     lf = left.astype(cost_type)
     rf = right.astype(cost_type)
-    cols = w - 2 * r  # state column j is image column j + r
-    n_support = np.minimum(np.arange(cols), top) + 1
+    # state column j has candidates d = 0 to min(j, top): two from j = 1 on
+    two_candidates = np.arange(w - 2 * r) >= 1
 
-    for y0 in range(r, h - r, _BAND_ROWS):
-        y1 = min(y0 + _BAND_ROWS, h - r)
-        rows = y1 - y0
-        band_l = lf[y0 - r : y1 + r]
-        band_r = rf[y0 - r : y1 + r]
-        best = np.full((rows, cols), unset, cost_type)
-        second = np.full((rows, cols), unset, cost_type)
-        best_d = np.full((rows, cols), -1, dtype=np.int32)
-        c_minus = np.full((rows, cols), unset, cost_type)
-        c_plus = np.full((rows, cols), unset, cost_type)
-        prev = None
-        for d in range(top + 1):
-            # cost[:, j] is candidate d at state column d + j, and
-            # prev[:, j + 1] is candidate d - 1 at the same column
-            cost = _box_sums(np.abs(band_l[:, d:] - band_r[:, : w - d]), r, rows)
-            b = best[:, d:]
-            better = cost < b  # strict: a tie keeps the lower d
-            cp = c_plus[:, d:]
-            np.copyto(cp, cost, where=best_d[:, d:] == d - 1)
-            cp[better] = unset
-            # second >= best always, so this is where(better, best, min(second, cost))
-            s = second[:, d:]
-            np.minimum(s, np.maximum(b, cost), out=s)
-            if prev is not None:
-                np.copyto(c_minus[:, d:], prev[:, 1:], where=better)
-            np.copyto(best_d[:, d:], d, where=better)
-            np.minimum(b, cost, out=b)
-            prev = cost
+    # numpy releases the GIL, so the bands run in parallel, each thread
+    # taking every threads-th band
+    starts = range(r, h - r, _BAND_ROWS)
+    threads = min(len(os.sched_getaffinity(0)), len(starts))
+    rows = min(_BAND_ROWS, h - 2 * r)
+    spaces = [_BandWorkspace(rows, w, r, cost_type) for _ in range(threads)]
 
-        best_f = _as_float(best, unset)
-        c_minus_f = _as_float(c_minus, unset)
-        c_plus_f = _as_float(c_plus, unset)
-        valid = (n_support >= 2) & (best_f < UNIQUENESS_RATIO * _as_float(second, unset))
-        out = np.where(valid, best_d.astype(np.float64), INVALID)
+    def work(ws, band_starts):
+        for y0 in band_starts:
+            y1 = min(y0 + _BAND_ROWS, h - r)
+            _match_band(lf, rf, y0, y1, r, top, unset, two_candidates, ws, disp)
 
-        # parabola fit over (d-1, d, d+1) where both neighbors were evaluated
-        refine = valid & np.isfinite(c_minus_f) & np.isfinite(c_plus_f)
-        with np.errstate(invalid="ignore"):
-            denom = c_minus_f - 2.0 * best_f + c_plus_f
-            refine &= denom > 0
-            shift = np.zeros((rows, cols))
-            np.divide(0.5 * (c_minus_f - c_plus_f), denom, out=shift, where=refine)
-        out[refine] += np.clip(shift[refine], -0.5, 0.5)
-        disp[y0:y1, r : w - r] = out
+    with ThreadPoolExecutor(threads) as pool:
+        # reading each result re-raises a thread's error
+        list(pool.map(work, spaces, [starts[t::threads] for t in range(threads)]))
     return disp
 
 

@@ -403,7 +403,8 @@ class TestErrors:
 
 def test_imports_load_no_scipy():
     # SciPy is most of a subcommand's start-up; only the stages that call it
-    # (window filter, SOR, mask dilation) import it, when they run. The
+    # (window filter, SOR, mask dilation) import it, when they run, and so
+    # do the threaded stages (block matching, SOR) concurrent.futures. The
     # package re-exports nothing, so the robot link loads no pipeline stage.
     src = Path(rebartie.__file__).resolve().parents[1]
     own = {
@@ -414,15 +415,15 @@ def test_imports_load_no_scipy():
     for module, expected in own.items():
         code = (
             f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'concurrent'))); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'rebartie'))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code], cwd=src, capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        scipy_modules, rebartie_modules = done.stdout.splitlines()
-        assert scipy_modules == "[]", module
+        deferred_modules, rebartie_modules = done.stdout.splitlines()
+        assert deferred_modules == "[]", module
         if expected is not None:
             assert rebartie_modules == expected, module
 
@@ -441,6 +442,7 @@ BAD_PARAMETERS = [
     ("ransac_iterations", "planes", "0", "iterations must be >= 1"),
     ("ransac_inlier_threshold", "planes", "0", "inlier_threshold must be positive"),
     ("ransac_min_inlier_fraction", "planes", "1.5", "min_inlier_fraction must be in (0, 1]"),
+    ("ransac_seed", "planes", "-1", "seed must be >= 0"),
     ("tau", "mask", "0", "tau must be positive"),
     ("dilation_radius", "mask", "-1", "dilation_radius must be >= 0"),
     ("cy", "mask", "-1", "principal point must lie inside the image"),
@@ -457,7 +459,7 @@ BAD_PARAMETERS = [
 ]
 
 # Keys that take any value of their type.
-NO_RULE = {"sor_sigma_mult", "ransac_seed", "sim_center_x", "sim_center_y", "sim_center_z", "sim_seed"}
+NO_RULE = {"sor_sigma_mult", "sim_center_x", "sim_center_y", "sim_center_z", "sim_seed"}
 
 
 @pytest.fixture(scope="module")
@@ -517,7 +519,7 @@ def _argv(command, files, out, server_port=None):
 class TestBadParameter:
     def test_table_covers_every_key(self):
         keys = [row[0] for row in BAD_PARAMETERS]
-        assert len(keys) == len(set(keys)) == 24
+        assert len(keys) == len(set(keys)) == 25
         assert set(keys) | NO_RULE == {f.name for f in fields(PipelineConfig)}
         assert not set(keys) & NO_RULE
 

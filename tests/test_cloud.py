@@ -604,6 +604,15 @@ class TestPeakAllocation:
         bound = (1 / 3 + 1 / 3 + 0.1) * size + image + 2 * 1.5 * scratch
         assert peak_bytes(statistical_outlier_removal, cloud, 16, -1.0, camera) < bound
 
+    @pytest.mark.parametrize("k", [1, 16, 60, 200])
+    def test_window_scratch_stays_at_its_k_16_size(self, k):
+        # a larger k has a larger window (R = 12 at k = 200), and its blocks
+        # take fewer points instead of more scratch
+        camera, disp = jumps_and_holes_map()
+        windows = cloudmod._PixelWindows.build(grid_cloud(camera, disp).points, camera, k)
+        size = sum(a.nbytes for a in windows.scratch())
+        assert size <= cloudmod._SOR_BLOCK_ROWS * 48 * (8 + 4 + 1 + 8 + 8)
+
     def test_read_ply_holds_no_list_of_lines(self, tmp_path, rng):
         # the file's bytes, the points and one parse chunk; a list of the
         # file's lines as str objects alone would be about 3x the file

@@ -157,6 +157,16 @@ class TestProjectedProvenance:
         assert tuple(out.provenance[0]) == (32, 24)
         assert tuple(out.provenance[1]) == (42, 29)
 
+    def test_point_projecting_beyond_int64_dropped(self):
+        # z = 1e-300 projects to about 1e301 px, past int64, and x = 1e10
+        # past float64; both are dropped before any cast (a RuntimeWarning
+        # fails the test)
+        cam = CameraModel(100.0, 100.0, 32.0, 24.0, 64, 48)
+        pts = np.array([[0.1, 0.05, 1.0], [1.0, 0.0, 1e-300], [1e10, 0.0, 1e-300]])
+        out = attach_projected_provenance(PointCloud(pts), cam)
+        assert out.points.tolist() == [[0.1, 0.05, 1.0]]
+        assert out.provenance.tolist() == [[42, 29]]
+
 
 class TestMaskAndImageIO:
     def test_mask_round_trip(self, tmp_path, rng):

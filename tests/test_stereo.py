@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+from rebartie import stereo as stereomod
 from rebartie.errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 from rebartie.geometry import CameraModel, StereoRig, project
 from rebartie.scene import GridSpec, render_disparity, synth_stereo_pair
@@ -14,6 +17,8 @@ from rebartie.stereo import (
     window_disparity_filter,
     write_disparity,
 )
+
+from conftest import peak_bytes
 
 RIG = StereoRig(
     CameraModel(fx=500.0, fy=500.0, cx=80.0, cy=60.0, width=160, height=120),
@@ -133,6 +138,13 @@ class TestBlockMatchMatchesReference:
         disp = assert_matcher_matches_reference(left, right, radius, 12)
         assert (disp >= 0).any()
 
+    @pytest.mark.parametrize("radius", [5, 6])  # the last radius with int16 costs, the first with int32
+    def test_sads_near_their_largest(self, rng, radius):
+        # white against near-black: every SAD lies within 2% of 255 (2r+1)^2
+        left = np.full((40, 60), 255, dtype=np.uint8)
+        right = rng.integers(0, 5, (40, 60), dtype=np.uint8)
+        assert_matcher_matches_reference(left, right, radius, 10)
+
     @pytest.mark.parametrize("radius", [1, 2, 3, 4])
     def test_search_past_the_image_width(self, rng, radius):
         left, right = shifted_pair(rng, shape=(23, 30), shift=3)
@@ -156,7 +168,10 @@ class TestBlockMatchMatchesReference:
         disp = assert_matcher_matches_reference(left, right, 2, 10)
         assert (disp == INVALID).all()
 
-    @pytest.mark.parametrize("height", [2 * 2 + 1, 16 + 4, 16 + 5, 3 * 16 + 4 + 7])
+    @pytest.mark.parametrize(
+        "height",
+        [2 * 2 + 1, stereomod._BAND_ROWS + 4, stereomod._BAND_ROWS + 5, 3 * stereomod._BAND_ROWS + 4 + 7],
+    )
     def test_heights_off_the_band_size(self, rng, height):
         left, right = shifted_pair(rng, shape=(height, 70), shift=4)
         assert_matcher_matches_reference(left, right, 2, 9)
@@ -178,6 +193,43 @@ class TestBlockMatchMatchesReference:
         left, right = synth_stereo_pair(spec, render_disparity(spec, rig))
         disp = assert_matcher_matches_reference(left, right, 2, 16)
         assert (disp >= 0).mean() > 0.5
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 8])  # 3 splits the bands unevenly; 8 outnumbers most CPU counts
+    def test_thread_count_does_not_change_the_map(self, monkeypatch, threads):
+        # ten bands, so every thread matches at least one, each in its own
+        # workspace; a short switch interval interleaves them as often as it
+        # can. Four grey levels make many tied SADs.
+        rng = np.random.default_rng(5)
+        height = 10 * stereomod._BAND_ROWS + 2 * 2 - 7
+        left = rng.integers(0, 4, (height, 60), dtype=np.uint8)
+        right = np.roll(left, 3, axis=1)
+        right[rng.random(left.shape) < 0.2] = 2
+        monkeypatch.setattr(stereomod.os, "sched_getaffinity", lambda pid: set(range(threads)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert_matcher_matches_reference(left, right, 2, 9)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class TestBlockMatchAllocation:
+    @pytest.mark.parametrize("height", [60, 600, 3000])
+    def test_peak_is_the_workspaces_the_map_and_the_int_images(self, rng, monkeypatch, height):
+        # at r = 2 every SAD fits int16; each of the two threads'
+        # workspaces holds, per row of a band and the 2r rows around it,
+        # eight int16, one int32, two bool and four float64 values per
+        # column, and as much again is allowed for the thread pool and
+        # numpy's ufunc buffers; the float64 map and the two int16 images
+        # are the only arrays that grow with the height, and one more int16
+        # array of the image's size would pass the bound at 3000 rows
+        monkeypatch.setattr(stereomod.os, "sched_getaffinity", lambda pid: {0, 1})
+        w, r = 100, 2
+        left = rng.integers(0, 256, (height, w), dtype=np.uint8)
+        right = np.roll(left, 4, axis=1)
+        workspace = (stereomod._BAND_ROWS + 2 * r) * w * (8 * 2 + 4 + 2 + 4 * 8)
+        bound = height * w * (8 + 2 * 2) + 2 * 2 * workspace
+        assert peak_bytes(block_match_disparity, left, right, r, 16) < bound
 
 
 class TestDisparityToDepth:
