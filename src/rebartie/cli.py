@@ -207,32 +207,11 @@ def _cmd_synth(args):
     pnm.write_pgm(out / "right.pgm", right)
     with open(out / "labels.txt", "w") as f:
         f.write(nodes.write_yolo_labels(truth.labels))
-    with open(out / "gt_nodes.txt", "w") as f:
-        for x, y, z in truth.nodes:
-            f.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+    framesmod.write_points(out / "gt_nodes.txt", truth.nodes)
     planesmod.write_plane_pair(out / "planes.txt", truth.planes)
     scene.write_grid_spec(out / "scene.txt", spec)
     print(f"synth: {truth.nodes.shape[0]} ground-truth nodes -> {out}/")
     return 0
-
-
-def _read_points_file(path):
-    pts = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        parts = line.split()
-        if not parts:
-            continue
-        if len(parts) == 4:
-            parts = parts[1:]  # tie-point file: index x y z
-        if len(parts) != 3:
-            raise ParseError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
-        try:
-            pts.append([float(v) for v in parts])
-        except ValueError:
-            raise ParseError(lineno, "non-numeric coordinate") from None
-        if not np.isfinite(pts[-1]).all():
-            raise ParseError(lineno, "non-finite coordinate")
-    return np.array(pts).reshape(-1, 3)
 
 
 def _cmd_eval(args):
@@ -246,8 +225,8 @@ def _cmd_eval(args):
             with open(args.out, "w") as f:
                 f.write(f"detection_accuracy={acc!r}\n")
         return 0
-    pred = _read_points_file(args.predicted)
-    gt = _read_points_file(args.ground_truth)
+    pred = framesmod.read_points(args.predicted)
+    gt = framesmod.read_points(args.ground_truth)
     rm = metrics.node_metrics(pred, gt, cfg.match_cutoff)
     if args.out:
         metrics.write_metrics(args.out, rm)

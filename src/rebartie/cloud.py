@@ -6,7 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import run_striped
 from .errors import BadParameter, ParseError, TooFewPoints
+from .geometry import project
 from .textio import parse_float_rows, text_lines
 
 # The header write_ply writes, and the only binary header read_ply takes.
@@ -92,8 +94,6 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
         raise TooFewPoints(f"cloud of size {n} needs more than k={k} points")
     # imported here: scipy.spatial adds about 0.2 s to every subcommand's
     # start-up, and no other stage needs it
-    from concurrent.futures import ThreadPoolExecutor
-
     from scipy.spatial import cKDTree
 
     points = cloud.points
@@ -119,15 +119,9 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
                 dists, _ = tree.query(points[rest], k=k + 1)
                 mean_dists[rest] = dists[:, 1:].mean(axis=1)
 
-    # numpy and the tree query release the GIL, so the blocks run in
-    # parallel, each thread taking every threads-th block
-    threads = len(os.sched_getaffinity(0))
-    starts = range(0, n, block)
-    scratch = [None if windows is None else windows.scratch() for _ in range(threads)]
-    with ThreadPoolExecutor(threads) as pool:
-        # reading each result re-raises a thread's error
-        list(pool.map(work, scratch, [starts[t::threads] for t in range(threads)]))
-    del tree, windows, scratch
+    # numpy and the tree query release the GIL, so the blocks run in parallel
+    run_striped(range(0, n, block), (lambda: None) if windows is None else windows.scratch, work)
+    del tree, windows
     threshold = mean_dists.mean() + sigma_mult * mean_dists.std()
     keep = np.flatnonzero(mean_dists <= threshold)
     del mean_dists  # its memory, the tree's and the windows' can hold the survivors
@@ -190,7 +184,8 @@ class _PixelWindows:
             z = block[:, 2]
             if not (np.isfinite(z) & (z > 0)).all():
                 return None
-            uf, vf = windows._image_coords(block)
+            with np.errstate(over="ignore"):  # an overflow is inf, off every pixel
+                uf, vf = project(camera, block).T
             u, v = np.rint(uf), np.rint(vf)
             on_ray = (np.abs(uf - u) <= _PIXEL_TOL) & (np.abs(vf - v) <= _PIXEL_TOL)
             if not (on_ray & (u >= 0) & (u < w) & (v >= 0) & (v < h)).all():
@@ -199,13 +194,6 @@ class _PixelWindows:
         if np.count_nonzero(frame >= 0) != n:  # two points on one pixel
             return None
         return windows
-
-    def _image_coords(self, block):
-        """Where each point projects: fx x/z + cx and fy y/z + cy."""
-        cam = self.camera
-        x, y, z = block.T
-        with np.errstate(over="ignore", invalid="ignore"):
-            return cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy
 
     def bound(self, block):
         """Each point's distance bound to the points outside its window."""
@@ -216,9 +204,7 @@ class _PixelWindows:
         )
 
     def scratch(self):
-        """One thread's buffers for fill. They are allocated by the calling
-        thread: what a worker thread allocates itself stays in its malloc
-        arena after the thread ends, and adds to the process's peak."""
+        """One thread's buffers for fill."""
         shape = (self.block_rows, len(self.offsets))
         return [np.empty(shape, dtype) for dtype in (np.intp, np.int32, bool, float, float)]
 
@@ -227,7 +213,8 @@ class _PixelWindows:
         proves its k nearest into out; return the others' rows in block."""
         k, r = self.k, self.radius
         at, nbr, empty, d2, coord = (a[: len(block)] for a in scratch)
-        u, v = (np.rint(c).astype(np.intp) + r for c in self._image_coords(block))
+        # build put every point on a pixel of the frame, so nothing overflows
+        u, v = (np.rint(c).astype(np.intp) + r for c in project(self.camera, block).T)
         centre = v * self.index.shape[1] + u
         np.add(centre[:, None], self.offsets, out=at)
         np.take(self.index.ravel(), at, out=nbr, mode="clip")

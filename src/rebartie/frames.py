@@ -146,21 +146,39 @@ def write_tie_points(path, ties):
             f.write(f"{t.sequence_index} {x:.9g} {y:.9g} {z:.9g}\n")
 
 
-def read_tie_points(path):
-    ties = []
+def write_points(path, points):
+    """Point file: one 'x y z' line per point, 9 digits, meters."""
+    with open(path, "w") as f:
+        for x, y, z in points:
+            f.write(f"{x:.9g} {y:.9g} {z:.9g}\n")
+
+
+def _point_rows(path, field_counts):
+    """(index or None, [x, y, z]) per non-blank line; field_counts are the row lengths allowed."""
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         parts = line.split()
         if not parts:
             continue
-        if len(parts) != 4:
-            raise ParseError(lineno, f"expected 4 fields, got {len(parts)}")
+        if len(parts) not in field_counts:
+            expected = " or ".join(map(str, field_counts))
+            raise ParseError(lineno, f"expected {expected} fields, got {len(parts)}")
         try:
-            idx = int(parts[0])
-            pos = np.array([float(v) for v in parts[1:]])
+            idx = int(parts[0]) if len(parts) == 4 else None
+            pos = [float(v) for v in parts[-3:]]
         except ValueError:
             raise ParseError(lineno, "non-numeric field") from None
         if not np.all(np.isfinite(pos)):
             raise ParseError(lineno, "non-finite coordinate")
-        ties.append(TiePoint(position=pos, sequence_index=idx))
+        yield idx, pos
+
+
+def read_tie_points(path):
+    """A tie-point file's ties, in sequence order."""
+    ties = [TiePoint(np.array(pos), idx) for idx, pos in _point_rows(path, (4,))]
     ties.sort(key=lambda t: t.sequence_index)
     return ties
+
+
+def read_points(path):
+    """'x y z' rows and tie-point rows, read as read_tie_points reads them: (n, 3), file order."""
+    return np.array([pos for _, pos in _point_rows(path, (3, 4))]).reshape(-1, 3)

@@ -19,6 +19,7 @@ from .errors import BadParameter, ParseError
 from .geometry import (
     Plane,
     RigidTransform,
+    backproject,
     project,
     transform_plane,
     transform_point,
@@ -29,6 +30,10 @@ from .textio import read_text
 
 # surface sampling density: at least one point per (2 mm)^2
 _SAMPLE_AREA = 4e-6
+
+# The most surface samples generate_grid_cloud draws: it holds several (n, 3)
+# float64 arrays of them at once, 240 MB each at this count.
+_MAX_SAMPLES = 10**7
 
 # background plane for stereo-pair synthesis; an exact integer disparity so
 # the background warps without resampling
@@ -155,7 +160,8 @@ def generate_grid_cloud(spec, rig=None):
 
     Surface points carry Gaussian noise along their normals; outliers are
     uniform in a 2x-expanded bounding box. The ground truth holds the node
-    positions, the rod-axis plane pair and projected labels.
+    positions, the rod-axis plane pair and projected labels. BadParameter
+    when the rods need more than _MAX_SAMPLES surface samples.
     """
     if rig is None:
         rig = default_rig()
@@ -166,11 +172,15 @@ def generate_grid_cloud(spec, rig=None):
     rng = np.random.default_rng(spec.seed)
     r = spec.rod_radius
 
+    rods = _rods(spec)
+    counts = [int(math.ceil(math.pi * r * length / _SAMPLE_AREA)) for _, _, length, _ in rods]
+    if sum(counts) > _MAX_SAMPLES:
+        raise BadParameter(f"scene needs {sum(counts)} surface samples, more than {_MAX_SAMPLES}")
+
     # in grid frame the camera looks along -y, so the +y half faces it
     surface = []
     layer_of = []
-    for origin, axis, length, layer in _rods(spec):
-        count = int(math.ceil(math.pi * r * length / _SAMPLE_AREA))
+    for (origin, axis, length, layer), count in zip(rods, counts):
         along = rng.uniform(0.0, length, count)
         theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, count)
         # perpendicular pair (u toward camera, w completing the frame)
@@ -255,10 +265,7 @@ def render_disparity(spec, rig):
         vv, uu = np.mgrid[box]
         # unnormalized ray directions with dir_z = 1, so depth Z = ray
         # parameter t, turned into the grid frame (row @ R == R.T @ row)
-        rod_dirs = np.stack(
-            [(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu, float)],
-            axis=-1,
-        ) @ pose.rotation
+        rod_dirs = backproject(cam, uu, vv, 1.0) @ pose.rotation
         oc = origin_g - origin
         d_axial = rod_dirs @ axis
         o_axial = float(oc @ axis)

@@ -6,10 +6,10 @@ pixels (-1 in files).
 """
 
 import itertools
-import os
 
 import numpy as np
 
+from .blocks import run_striped
 from .cloud import PointCloud
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 from .textio import parse_float_rows, text_lines
@@ -34,9 +34,7 @@ def _shaped(flat, rows, cols):
 
 class _BandWorkspace:
     """One thread's buffers for _match_band, for bands of up to ``rows``
-    rows of a w-column image. They are allocated by the calling thread: what
-    a worker thread allocates itself stays in its malloc arena after the
-    thread ends, and adds to the process's peak."""
+    rows of a w-column image."""
 
     def __init__(self, rows, w, r, cost_type):
         n = rows * (w - 2 * r)
@@ -148,7 +146,7 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     SAD is >= 0.95x the second best, are marked invalid.
 
     The images are uint8, so every SAD is an exact integer. Rows are matched
-    in bands of _BAND_ROWS, on as many threads as the process may use CPUs.
+    in bands of _BAND_ROWS, on blocks.run_striped's threads.
     Candidate d is supported at columns [d + r, w - r), so each pixel's
     supported candidates are d = 0 up to a limit set by its column, and the
     loop over d touches only those.
@@ -170,10 +168,6 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     top = min(max_disparity, w - size)  # the last d any column supports
     if top < 1 or h < size:
         return disp  # no pixel has two supported candidates
-    # imported here: concurrent.futures, with the logging it imports, adds
-    # several ms to every subcommand's start-up
-    from concurrent.futures import ThreadPoolExecutor
-
     # the narrowest integer type whose max lies above every SAD: int16 up
     # to r = 5, which moves half the bytes of int32 per pass
     largest = 255 * size * size
@@ -184,21 +178,15 @@ def block_match_disparity(left, right, block_radius=2, max_disparity=64):
     # state column j has candidates d = 0 to min(j, top): two from j = 1 on
     two_candidates = np.arange(w - 2 * r) >= 1
 
-    # numpy releases the GIL, so the bands run in parallel, each thread
-    # taking every threads-th band
-    starts = range(r, h - r, _BAND_ROWS)
-    threads = min(len(os.sched_getaffinity(0)), len(starts))
     rows = min(_BAND_ROWS, h - 2 * r)
-    spaces = [_BandWorkspace(rows, w, r, cost_type) for _ in range(threads)]
 
     def work(ws, band_starts):
         for y0 in band_starts:
             y1 = min(y0 + _BAND_ROWS, h - r)
             _match_band(lf, rf, y0, y1, r, top, unset, two_candidates, ws, disp)
 
-    with ThreadPoolExecutor(threads) as pool:
-        # reading each result re-raises a thread's error
-        list(pool.map(work, spaces, [starts[t::threads] for t in range(threads)]))
+    # numpy releases the GIL, so the bands run in parallel
+    run_striped(range(r, h - r, _BAND_ROWS), lambda: _BandWorkspace(rows, w, r, cost_type), work)
     return disp
 
 

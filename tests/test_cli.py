@@ -356,6 +356,23 @@ class TestErrors:
             assert "Traceback" not in err
             assert not (tmp_path / "b").exists()  # the rejected spec leaves no bundle
 
+    def test_scene_too_large_to_sample_synth_exit_1(self, tmp_path, capsys):
+        # every node in view from 100 km, but rods 4 km long: 188,495,560
+        # surface samples, 4.5 GB per (n, 3) array; none of them is drawn
+        spec = tmp_path / "scene.txt"
+        spec.write_text(
+            "spacing_x = 1000\nspacing_z = 1000\n"
+            "grid_pose = 1 0 0 -2000  0 0 1 0  0 -1 0 100000\n"
+        )
+        argv = ["synth", str(spec), "--out", str(tmp_path / "b")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "synth: BadParameter: scene needs 188495560 surface samples, more than 10000000\n"
+        )
+        assert not (tmp_path / "b").exists()
+        assert peak_bytes(main, argv) < 10**7  # 10 MB: not one array of samples
+        capsys.readouterr()
+
     @pytest.mark.parametrize(
         "text, error",
         [
@@ -675,6 +692,18 @@ BAD_INPUTS = [
      "planes: ParseError: line 8: non-finite coordinate"),
     ("nan-prediction", "eval", "ties", "0 0 0 1.2\n1 0 nan 1.2\n",
      "eval: ParseError: line 2: non-finite coordinate"),
+    ("word-index-tie", "tie", "ties", "abc 0.1 0.2 1.2\n",
+     "tie: ParseError: line 1: non-numeric field"),
+    ("word-index-prediction", "eval", "ties", "abc 0.1 0.2 1.2\n",
+     "eval: ParseError: line 1: non-numeric field"),
+    ("fractional-index-tie", "tie", "ties", "1.5 0.1 0.2 1.2\n",
+     "tie: ParseError: line 1: non-numeric field"),
+    ("fractional-index-prediction", "eval", "ties", "1.5 0.1 0.2 1.2\n",
+     "eval: ParseError: line 1: non-numeric field"),
+    ("five-field-tie", "tie", "ties", "0 0.1 0.2 1.2 7\n",
+     "tie: ParseError: line 1: expected 4 fields, got 5"),
+    ("five-field-prediction", "eval", "ties", "0 0.1 0.2 1.2 7\n",
+     "eval: ParseError: line 1: expected 3 or 4 fields, got 5"),
     ("truncated-pgm", "disparity", "left", "P5\n10 10\n255\nabc",
      "disparity: ParseError: line 1: truncated pixel data"),
     ("negative-ppm", "mask", "image", "P6\n-1 -1\n255\n",

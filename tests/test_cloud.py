@@ -1,3 +1,4 @@
+import os
 import struct
 import sys
 
@@ -507,7 +508,7 @@ class TestSorPixelWindows:
         cloud, camera = default_stereo
         cloud = cloud.take(np.arange(100_000))
         default = statistical_outlier_removal(cloud, camera=camera)
-        monkeypatch.setattr(cloudmod.os, "sched_getaffinity", lambda pid: set(range(threads)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -595,7 +596,7 @@ class TestPeakAllocation:
         # coordinate (1/3x) would pass the bound. Noisy depths make the
         # tree answer most rows, and sigma_mult = -1 keeps about a sixth of
         # the points, so the survivors stay below the bound.
-        monkeypatch.setattr(cloudmod.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         camera = CameraModel(500.0, 500.0, 320.0, 240.0, 640, 480)
         cloud = PointCloud(grid_cloud(camera, rng.uniform(20.0, 25.0, (480, 640))).points)
         image = (480 + 6) * (640 + 6) * 4
@@ -603,6 +604,20 @@ class TestPeakAllocation:
         size = cloud.points.nbytes
         bound = (1 / 3 + 1 / 3 + 0.1) * size + image + 2 * 1.5 * scratch
         assert peak_bytes(statistical_outlier_removal, cloud, 16, -1.0, camera) < bound
+
+    def test_sor_scratch_is_per_block_not_per_cpu(self, rng, monkeypatch):
+        # a 2-block cloud runs on 2 threads however many CPUs there are, so
+        # it takes two threads' block scratch and half as much again for
+        # each block's own arrays; eight CPUs' scratch would pass the bound.
+        # The untraced first call loads scipy.spatial outside the trace.
+        camera = CameraModel(50.0, 50.0, 32.0, 24.0, 64, 48)
+        cloud = PointCloud(grid_cloud(camera, rng.uniform(20.0, 25.0, (48, 64))).points)
+        assert -(-len(cloud) // cloudmod._SOR_BLOCK_ROWS) == 2
+        want = statistical_outlier_removal(cloud, 16, -1.0, camera)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert same_bits(statistical_outlier_removal(cloud, 16, -1.0, camera).points, want.points)
+        scratch = cloudmod._SOR_BLOCK_ROWS * 48 * (8 + 4 + 1 + 8 + 8)
+        assert peak_bytes(statistical_outlier_removal, cloud, 16, -1.0, camera) < 2 * 1.5 * scratch
 
     @pytest.mark.parametrize("k", [1, 16, 60, 200])
     def test_window_scratch_stays_at_its_k_16_size(self, k):

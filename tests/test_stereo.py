@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -204,7 +205,7 @@ class TestBlockMatchMatchesReference:
         left = rng.integers(0, 4, (height, 60), dtype=np.uint8)
         right = np.roll(left, 3, axis=1)
         right[rng.random(left.shape) < 0.2] = 2
-        monkeypatch.setattr(stereomod.os, "sched_getaffinity", lambda pid: set(range(threads)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -223,7 +224,7 @@ class TestBlockMatchAllocation:
         # numpy's ufunc buffers; the float64 map and the two int16 images
         # are the only arrays that grow with the height, and one more int16
         # array of the image's size would pass the bound at 3000 rows
-        monkeypatch.setattr(stereomod.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         w, r = 100, 2
         left = rng.integers(0, 256, (height, w), dtype=np.uint8)
         right = np.roll(left, 4, axis=1)
