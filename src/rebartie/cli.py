@@ -7,6 +7,7 @@ input error, with the subcommand that read the bad input.
 """
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -238,7 +239,10 @@ def _cmd_eval(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process and shared by every
+    call of main: argparse keeps no state between parse_args calls."""
     parser = _Parser(prog="rebartie", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -28,31 +28,36 @@ def rasterize_mask(selected, width, height, dilation_radius=2):
     if selected.provenance is None:
         raise MissingProvenance("cloud has no source-pixel provenance")
     mask = np.zeros((height, width), dtype=bool)
-    if len(selected):
-        us = selected.provenance[:, 0].astype(int)
-        vs = selected.provenance[:, 1].astype(int)
-        if us.min() < 0 or us.max() >= width or vs.min() < 0 or vs.max() >= height:
-            raise ValueError("provenance pixel outside image bounds")
-        mask[vs, us] = True
+    if not len(selected):
+        return mask
+    us = selected.provenance[:, 0].astype(int)
+    vs = selected.provenance[:, 1].astype(int)
+    u0, u1, v0, v1 = us.min(), us.max(), vs.min(), vs.max()
+    if u0 < 0 or u1 >= width or v0 < 0 or v1 >= height:
+        raise ValueError("provenance pixel outside image bounds")
+    mask[vs, us] = True
     if dilation_radius > 0:
         # imported here, as in stereo.window_disparity_filter: scipy.ndimage
         # is most of a subcommand's start-up
         from scipy import ndimage
 
-        # a square dilation is the maximum over the square, zero outside
-        mask = ndimage.maximum_filter(
-            mask, size=2 * dilation_radius + 1, mode="constant", cval=0
-        )
+        # a square dilation is the maximum over the square, zero outside;
+        # no pixel farther than the radius from the set pixels' bounding box
+        # can change, so only that box, grown by the radius, is filtered
+        r = dilation_radius
+        box = np.s_[max(v0 - r, 0) : v1 + r + 1, max(u0 - r, 0) : u1 + r + 1]
+        mask[box] = ndimage.maximum_filter(mask[box], size=2 * r + 1, mode="constant", cval=0)
     return mask
 
 
 def apply_mask(image, mask):
-    """Black out image pixels where the mask is false."""
+    """Black out image pixels where the mask is false (an integer image:
+    each channel is multiplied by the mask's 0 or 1)."""
     image = np.asarray(image)
     mask = np.asarray(mask, dtype=bool)
     if image.shape[:2] != mask.shape:
         raise SizeMismatch(f"image {image.shape[:2]} vs mask {mask.shape}")
-    return np.where(mask[..., None], image, 0).astype(image.dtype)
+    return image * mask[..., None].astype(image.dtype)
 
 
 def attach_projected_provenance(cloud, cam):

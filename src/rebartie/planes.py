@@ -7,6 +7,7 @@ least-squares split separates into the near and far layers.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +23,10 @@ _SCORE_ROWS = 16384
 # The largest coordinate, in metres, RANSAC takes: the norm of a candidate's
 # normal holds fourth powers of the coordinates, which overflow past 1e76.
 _MAX_COORDINATE = 1e50
+
+# Triples drawn per batch of candidates; it bounds their memory whatever
+# the iteration count.
+_CANDIDATE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,33 @@ class ParallelPlanePair:
         return Plane(self.normal, 0.5 * (self.offset_near + self.offset_far))
 
 
+class _Candidate(NamedTuple):
+    """A hypothesis as plane_signed_distance reads it, without Plane's
+    checks and sign flip; the flip negates every distance exactly, so the
+    inlier count is the same."""
+
+    normal: np.ndarray
+    offset: np.float64
+
+
+def _candidate_planes(pts, triples):
+    """Unit normals and offsets of the planes through the rows of triples
+    (index triples into pts) that are not collinear, in draw order.
+
+    Whole-array operations with the bits of the one-triple ones: np.cross
+    rows, and np.vecdot of 3-vectors as np.linalg.norm and @ sum them.
+    """
+    base = pts[triples[:, 0]]
+    a = pts[triples[:, 1]] - base
+    b = pts[triples[:, 2]] - base
+    normals = np.cross(a, b)
+    norms = np.sqrt(np.vecdot(normals, normals))
+    scale = np.sqrt(np.vecdot(a, a)) * np.sqrt(np.vecdot(b, b))
+    kept = norms > 1e-12 * (scale + 1e-300)  # collinear samples are skipped
+    normals = normals[kept] / norms[kept, None]
+    return normals, np.vecdot(normals, base[kept])
+
+
 def ransac_dominant_plane(cloud, params):
     """RANSAC plane fit: returns (plane, inlier index array).
 
@@ -72,49 +104,48 @@ def ransac_dominant_plane(cloud, params):
     are skipped. Raises NoConsensus when the best inlier fraction stays
     below params.min_inlier_fraction.
 
-    A candidate is scored in blocks of _SCORE_ROWS points and dropped once
-    the points it has not seen could not lift its count above the best's.
-    The first candidate with the most inliers still wins, with the same
-    count: the matrix-vector product gives each row of a block of two or
-    more rows the same bits as the product over the whole cloud.
+    Triples are drawn _CANDIDATE_CHUNK at a time, one rng.choice each, and
+    their candidates built together. A candidate is scored in blocks of
+    _SCORE_ROWS points and dropped once the points it has not seen could
+    not lift its count above the best's. The first candidate with the most
+    inliers still wins, with the same count: the matrix-vector product
+    gives each row of a block of two or more rows the same bits as the
+    product over the whole cloud.
     """
     pts = cloud.points
     n = pts.shape[0]
     if n < 3:
         raise NoConsensus(f"cloud of size {n} cannot support a plane")
-    if pts.max() > _MAX_COORDINATE or pts.min() < -_MAX_COORDINATE:
-        raise NoConsensus(f"a coordinate lies beyond {_MAX_COORDINATE:g} m")
+    # written so that a NaN, which max and min return, fails it too
+    if not -_MAX_COORDINATE <= pts.min() <= pts.max() <= _MAX_COORDINATE:
+        raise NoConsensus(f"a coordinate lies beyond {_MAX_COORDINATE:g} m or is NaN")
     # scoring blocks end here; a one-row last block joins the one before it,
     # since numpy's product of a single row may round differently
     stops = [*range(_SCORE_ROWS, n - 1, _SCORE_ROWS), n]
     rng = np.random.default_rng(params.seed)
     best_count = 0
-    best_plane = None
-    for _ in range(params.iterations):
-        i, j, k = rng.choice(n, size=3, replace=False)
-        a, b = pts[j] - pts[i], pts[k] - pts[i]
-        normal = np.cross(a, b)
-        norm = np.linalg.norm(normal)
-        if norm <= 1e-12 * (np.linalg.norm(a) * np.linalg.norm(b) + 1e-300):
-            continue  # collinear sample
-        normal = normal / norm
-        candidate = Plane(normal, float(normal @ pts[i]))
-        count = 0
-        start = 0
-        for stop in stops:
-            if count + (n - start) <= best_count:
-                break  # even all the rows left could not make it the first best
-            dist = plane_signed_distance(candidate, pts[start:stop])
-            count += int(np.count_nonzero(np.abs(dist) <= params.inlier_threshold))
-            start = stop
-        if count > best_count:
-            best_count = count
-            best_plane = candidate
-    if best_plane is None or best_count / n < params.min_inlier_fraction:
+    best = None
+    for first in range(0, params.iterations, _CANDIDATE_CHUNK):
+        draws = min(_CANDIDATE_CHUNK, params.iterations - first)
+        triples = np.array([rng.choice(n, size=3, replace=False) for _ in range(draws)])
+        for candidate in map(_Candidate, *_candidate_planes(pts, triples)):
+            count = 0
+            start = 0
+            for stop in stops:
+                if count + (n - start) <= best_count:
+                    break  # even all the rows left could not make it the first best
+                dist = plane_signed_distance(candidate, pts[start:stop])
+                count += int(np.count_nonzero(np.abs(dist) <= params.inlier_threshold))
+                start = stop
+            if count > best_count:
+                best_count = count
+                best = candidate
+    if best is None or best_count / n < params.min_inlier_fraction:
         raise NoConsensus(
             f"best inlier fraction {best_count / n:.3f} "
             f"< {params.min_inlier_fraction}"
         )
+    best_plane = Plane(best.normal, float(best.offset))
     inliers = np.flatnonzero(
         np.abs(plane_signed_distance(best_plane, pts)) <= params.inlier_threshold
     )

@@ -244,16 +244,25 @@ def window_disparity_filter(disp, window=31, delta=3.0):
         raise BadParameter("delta must be positive")
     disp = np.asarray(disp, dtype=float)
     valid = disp >= 0
+    rows = np.flatnonzero(valid.any(axis=1))
+    if rows.size == 0:
+        return np.full(disp.shape, INVALID)
+    cols = np.flatnonzero(valid.any(axis=0))
+    # every pixel outside the valid pixels' bounding box is invalid, -inf
+    # like the border, so the maximum over the box alone is the same
+    box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
     # imported here: scipy.ndimage is most of a subcommand's start-up, and
     # only this filter and the plane mask's dilation use it
     from scipy import ndimage
 
     local_max = ndimage.maximum_filter(
-        np.where(valid, disp, -np.inf), size=window, mode="constant", cval=-np.inf
+        np.where(valid[box], disp[box], -np.inf), size=window, mode="constant", cval=-np.inf
     )
     local_max -= delta
-    keep = valid & (disp >= local_max)
-    return np.where(keep, disp, INVALID)
+    keep = valid[box] & (disp[box] >= local_max)
+    out = np.full(disp.shape, INVALID)
+    np.copyto(out[box], disp[box], where=keep)
+    return out
 
 
 def _row_format(valid):

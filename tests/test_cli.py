@@ -988,6 +988,49 @@ class TestConfig:
         assert len(read_ply(out_fine)) > len(read_ply(out_default))
 
 
+class TestParserReuse:
+    """main builds its parser once per process: a call must not see the
+    flags of an earlier call, nor its usage error."""
+
+    def test_later_call_writes_what_a_fresh_process_writes(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")  # the help text's width, here and in the child
+        # two noisy layers, on which RANSAC's seed changes the fit
+        rng = np.random.default_rng(0)
+        pts = rng.uniform(-0.5, 0.5, (600, 3))
+        pts[300:, 1] = 0.05
+        pts[:, 1] += rng.normal(0, 0.004, 600)
+        pts[:, 2] += 2.0 + pts[:, 1]
+        cloud = tmp_path / "cloud.ply"
+        write_ply(cloud, PointCloud(pts))
+        seeded, reused, fresh = (tmp_path / f"{name}.txt" for name in ("seeded", "reused", "fresh"))
+
+        assert main(["planes", str(cloud), "--out", str(seeded), "--ransac-seed", "7"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["planes", str(cloud), "--out", str(reused), "--ransac-seed"])
+        assert exc.value.code == 1
+        assert main(["planes", str(cloud), "--out", str(reused)]) == 0
+        capsys.readouterr()
+        helps = []
+        for argv in (["--help"], ["planes", "--help"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            helps.append(capsys.readouterr().out)
+
+        def child(*argv):
+            src = Path(rebartie.__file__).resolve().parents[1]
+            done = subprocess.run(
+                [sys.executable, "-m", "rebartie.cli", *argv],
+                cwd=src, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            return done.stdout
+
+        child("planes", str(cloud), "--out", str(fresh))
+        assert reused.read_bytes() == fresh.read_bytes()
+        assert seeded.read_bytes() != fresh.read_bytes()
+        assert [child("--help"), child("planes", "--help")] == helps
+
+
 class TestDeterminism:
     def test_two_runs_byte_identical(self, tmp_path, identity_calib_file):
         digests = []

@@ -120,6 +120,65 @@ class TestRasterizeMask:
             rasterize_mask(cloud, 8, 8, 0)
 
 
+def full_frame_mask(pixels, width, height, radius):
+    """The dilation over the whole frame; the oracle for the bounding-box one."""
+    from scipy import ndimage
+
+    mask = np.zeros((height, width), dtype=bool)
+    if len(pixels):
+        mask[pixels[:, 1], pixels[:, 0]] = True
+    if radius > 0:
+        mask = ndimage.maximum_filter(mask, size=2 * radius + 1, mode="constant", cval=0)
+    return mask
+
+
+class TestRasterizeMaskMatchesFullFrame:
+    """Only the set pixels' bounding box, grown by the radius, is dilated."""
+
+    # (u, v) ranges of the set pixels in a 30 x 24 frame: touching each
+    # border, each corner, and inside it
+    PLACES = {
+        "top": ((10, 20), (0, 5)),
+        "bottom": ((10, 20), (19, 24)),
+        "left": ((0, 5), (8, 16)),
+        "right": ((25, 30), (8, 16)),
+        "top-left": ((0, 5), (0, 5)),
+        "top-right": ((25, 30), (0, 5)),
+        "bottom-left": ((0, 5), (19, 24)),
+        "bottom-right": ((25, 30), (19, 24)),
+        "inside": ((10, 20), (8, 16)),
+    }
+
+    @staticmethod
+    def check(pixels, radius, width=30, height=24):
+        pixels = np.asarray(pixels, dtype=int).reshape(-1, 2)
+        cloud = PointCloud(np.zeros((len(pixels), 3)), provenance=pixels)
+        mask = rasterize_mask(cloud, width, height, radius)
+        assert mask.dtype == bool
+        assert mask.tobytes() == full_frame_mask(pixels, width, height, radius).tobytes()
+        return mask
+
+    @pytest.mark.parametrize("radius", [0, 1, 3, 40])  # 40 spans the frame
+    @pytest.mark.parametrize("place", PLACES)
+    def test_pixel_placements(self, place, radius):
+        (u0, u1), (v0, v1) = self.PLACES[place]
+        rng = np.random.default_rng([radius, len(place)])
+        us = rng.integers(u0, u1, 12)
+        vs = rng.integers(v0, v1, 12)
+        us[:2] = u0, u1 - 1  # the range's extremes are set
+        vs[:2] = v0, v1 - 1
+        self.check(np.stack([us, vs], axis=1), radius)
+
+    @pytest.mark.parametrize("pixel", [(0, 0), (29, 23), (29, 0), (0, 12), (17, 11)])
+    @pytest.mark.parametrize("radius", [0, 2, 40])
+    def test_single_pixel(self, pixel, radius):
+        assert self.check([pixel], radius)[pixel[1], pixel[0]]
+
+    @pytest.mark.parametrize("radius", [0, 2, 40])
+    def test_empty_cloud(self, radius):
+        assert not self.check(np.empty((0, 2)), radius).any()
+
+
 class TestApplyMask:
     def test_all_true_unchanged(self, rng):
         img = rng.integers(0, 256, (10, 12, 3), dtype=np.uint8)

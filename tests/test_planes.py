@@ -21,7 +21,7 @@ from rebartie.planes import (
     write_plane_pair,
 )
 
-from conftest import planes_close
+from conftest import peak_bytes, planes_close
 from test_geometry import random_rigid
 
 
@@ -94,6 +94,12 @@ class TestRansac:
         cloud = two_layer_cloud(rng, 200, noise=0.002)
         cloud.points[7, 0] = -1e80
         with pytest.raises(NoConsensus, match="beyond 1e[+]50 m"):
+            ransac_dominant_plane(cloud, RansacParams(seed=5))
+
+    def test_no_consensus_on_a_nan_coordinate(self, rng):
+        cloud = two_layer_cloud(rng, 200, noise=0.002)
+        cloud.points[7, 1] = np.nan
+        with pytest.raises(NoConsensus, match="or is NaN"):
             ransac_dominant_plane(cloud, RansacParams(seed=5))
 
     def test_deterministic_given_seed(self, rng):
@@ -255,6 +261,67 @@ class TestRansacEarlyExitMatchesReference:
             for start in range(0, len(pts), rows):
                 block = pts[start : start + rows]
                 assert (block @ normal).tobytes() == whole[start : start + rows].tobytes()
+
+
+class TestRansacCandidateChunks:
+    """Candidates are built _CANDIDATE_CHUNK draws at a time; the fit must
+    not change."""
+
+    @pytest.mark.parametrize("offset", [None, -1, 1])
+    def test_iterations_around_the_chunk(self, offset):
+        chunk = planesmod._CANDIDATE_CHUNK
+        iterations = 1 if offset is None else chunk + offset
+        cloud = plane_with_outliers(np.random.default_rng(iterations), 2_000, 0.4)
+        params = RansacParams(iterations=iterations, min_inlier_fraction=0.01, seed=4)
+        got = ransac_outcome(ransac_dominant_plane, cloud, params)
+        assert got == ransac_outcome(reference_ransac, cloud, params)
+        assert got[0] != "NoConsensus"
+
+    def test_mostly_collinear_triples(self):
+        # 300 points on one line, coincident pairs among them, and 30 on a
+        # plane through it: about three draws in four are collinear
+        rng = np.random.default_rng(5)
+        t = rng.uniform(-1, 1, 300)
+        t[:50] = t[50:100]
+        line = np.outer(t, [0.3, 0.1, 0.9]) + [0.1, 0.2, 2.0]
+        side = np.outer(rng.uniform(-1, 1, 30), [0.3, 0.1, 0.9])
+        side += np.outer(rng.uniform(-1, 1, 30), [1.0, 0.0, 0.0]) + [0.1, 0.2, 2.0]
+        cloud = PointCloud(np.vstack([line, side])[rng.permutation(330)])
+        for seed in range(4):
+            params = RansacParams(iterations=50, seed=seed)
+            got = ransac_outcome(ransac_dominant_plane, cloud, params)
+            assert got == ransac_outcome(reference_ransac, cloud, params)
+
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_no_consensus_message(self, collinear):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(0, 1, (400, 3))
+        if collinear:
+            pts = np.outer(pts[:, 0], [1.0, 2.0, 3.0])  # no candidate at all
+        params = RansacParams(iterations=300, inlier_threshold=1e-4, seed=2)
+        got = ransac_outcome(ransac_dominant_plane, PointCloud(pts), params)
+        assert got[0] == "NoConsensus"
+        assert got == ransac_outcome(reference_ransac, PointCloud(pts), params)
+
+    def test_peak_memory_does_not_grow_with_iterations(self):
+        cloud = plane_with_outliers(np.random.default_rng(3), 1_000, 0.5)
+        peaks = [
+            peak_bytes(ransac_dominant_plane, cloud, RansacParams(iterations=it, seed=1))
+            for it in (2_000, 20_000)
+        ]
+        assert peaks[1] <= 2 * peaks[0]
+
+    def test_vecdot_has_norm_and_matmul_bits(self):
+        # the candidates rest on this: np.vecdot of 3-vectors sums in the
+        # order np.linalg.norm and @ do for one vector; a BLAS or numpy that
+        # sums them otherwise fails here first
+        rng = np.random.default_rng(17)
+        v = rng.normal(size=(50_000, 3)) * 10.0 ** rng.integers(-8, 9, (50_000, 1))
+        w = rng.normal(size=(50_000, 3))
+        norms = np.sqrt(np.vecdot(v, v))
+        dots = np.vecdot(v, w)
+        assert norms.tobytes() == np.array([np.linalg.norm(x) for x in v]).tobytes()
+        assert dots.tobytes() == np.array([x @ y for x, y in zip(v, w)]).tobytes()
 
 
 class TestKmeansSplit:

@@ -406,6 +406,71 @@ class TestWindowFilter:
         assert out[4, 4] == 25.0
 
 
+def full_frame_window_filter(disp, window, delta):
+    """The filter over the whole frame; the oracle for the bounding-box one."""
+    from scipy import ndimage
+
+    disp = np.asarray(disp, dtype=float)
+    valid = disp >= 0
+    local_max = ndimage.maximum_filter(
+        np.where(valid, disp, -np.inf), size=window, mode="constant", cval=-np.inf
+    )
+    local_max -= delta
+    return np.where(valid & (disp >= local_max), disp, INVALID)
+
+
+# Where a block of valid pixels sits in a 24 x 30 frame: touching each
+# border, each corner, inside it, and filling it.
+PLACES = {
+    "top": np.s_[:8, 10:20],
+    "bottom": np.s_[16:, 10:20],
+    "left": np.s_[8:16, :8],
+    "right": np.s_[8:16, 22:],
+    "top-left": np.s_[:8, :8],
+    "top-right": np.s_[:8, 22:],
+    "bottom-left": np.s_[16:, :8],
+    "bottom-right": np.s_[16:, 22:],
+    "inside": np.s_[8:16, 10:20],
+    "whole": np.s_[:, :],
+}
+
+
+class TestWindowFilterMatchesFullFrame:
+    """The maximum is taken over the valid pixels' bounding box only."""
+
+    @pytest.mark.parametrize("window", [3, 7, 41])  # 41 spans the frame
+    @pytest.mark.parametrize("place", PLACES)
+    def test_block_placements(self, place, window):
+        rng = np.random.default_rng([window, len(place)])
+        disp = np.full((24, 30), INVALID)
+        block = disp[PLACES[place]]
+        block[:] = rng.uniform(10, 60, block.shape)
+        block[rng.random(block.shape) < 0.3] = INVALID
+        out = window_disparity_filter(disp, window, 2.0)
+        assert out.tobytes() == full_frame_window_filter(disp, window, 2.0).tobytes()
+
+    @pytest.mark.parametrize("pixel", [(0, 0), (23, 29), (0, 29), (11, 0), (12, 17)])
+    def test_single_valid_pixel(self, pixel):
+        disp = np.full((24, 30), INVALID)
+        disp[pixel] = 0.0
+        out = window_disparity_filter(disp, 5, 1.0)
+        assert out.tobytes() == full_frame_window_filter(disp, 5, 1.0).tobytes()
+        assert out[pixel] == 0.0
+
+    @pytest.mark.parametrize("shape", [(24, 30), (1, 1), (0, 5)])
+    def test_all_invalid(self, shape):
+        disp = np.full(shape, np.nan)
+        disp[..., ::2] = -3.0
+        out = window_disparity_filter(disp, 5, 1.0)
+        assert out.shape == shape
+        assert out.tobytes() == full_frame_window_filter(disp, 5, 1.0).tobytes()
+
+    def test_rendered_scene_map(self):
+        disp = render_disparity(GridSpec(), RIG)
+        out = window_disparity_filter(disp, 31, 3.0)
+        assert out.tobytes() == full_frame_window_filter(disp, 31, 3.0).tobytes()
+
+
 class TestDisparityIO:
     def test_round_trip(self, tmp_path, rng):
         disp = rng.uniform(0, 60, (12, 17))
