@@ -300,15 +300,16 @@ def write_ply(path, cloud):
             block.astype("<f8", copy=False).tofile(f)
 
 
-def round_to_6_digits(values):
-    """float("%.6g" % v) for each of a 1-D float64 array, bit for bit.
+def six_digits(values):
+    """The 6 significant digits "%.6g" prints for each of a 1-D float64 array.
 
-    v times (or over) an exact power of ten 10**k puts its 6 significant
-    digits before the point with one rounding, so rint gives the digits m
-    unless the scaled value lies within 1e-6 of a half; m over (or times)
-    the same power then rounds once, as parsing the decimal does. Those
-    near-halves, |k| > 22, zeros and non-finite values are formatted one
-    by one.
+    Returns (digits, k, fast): where fast, v rounds to digits / 10**k (or
+    digits * 10**-k), digits a float holding an integer of magnitude 1e5 to
+    1e6. v times (or over) the exact power of ten puts its 6 significant
+    digits before the point with one rounding, so rint gives the digits
+    unless the scaled value lies within 1e-6 of a half. Those near-halves,
+    |k| > 22, zeros and non-finite values are not fast, and callers format
+    them one by one.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k = 5 - np.floor(np.log10(np.abs(values)))
@@ -322,6 +323,19 @@ def round_to_6_digits(values):
         scaled = np.where(k >= 0, values * scale, values / scale)
         digits = np.rint(scaled)
         fast &= (np.abs(scaled - digits) < 0.5 - 1e-6) & (np.abs(digits) >= 1e5) & (np.abs(digits) <= 1e6)
+    return digits, k, fast
+
+
+def round_to_6_digits(values):
+    """float("%.6g" % v) for each of a 1-D float64 array, bit for bit.
+
+    The digits over (or times) six_digits' power of ten round once, as
+    parsing the decimal does; the values six_digits cannot settle are
+    formatted one by one.
+    """
+    digits, k, fast = six_digits(values)
+    scale = _POW10[np.abs(k)]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = np.where(k >= 0, digits / scale, digits * scale)
     slow = np.flatnonzero(~fast)
     out[slow] = [float("%.6g" % v) for v in values[slow].tolist()]

@@ -6,11 +6,13 @@ pixels (-1 in files).
 """
 
 import itertools
+import os
+import re
 
 import numpy as np
 
 from .blocks import run_striped
-from .cloud import PointCloud
+from .cloud import PointCloud, six_digits
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 from .textio import parse_float_rows, text_lines
 
@@ -265,29 +267,296 @@ def window_disparity_filter(disp, window=31, delta=3.0):
     return out
 
 
-def _row_format(valid):
-    """%-format of one disparity row: "%.6g" per valid pixel, "-1" per invalid."""
-    cuts = [0, *(np.flatnonzero(valid[1:] != valid[:-1]) + 1).tolist(), valid.size]
-    runs = (
-        " ".join(["%.6g" if valid[a] else "-1"] * (b - a))
-        for a, b in zip(cuts, cuts[1:])
-        if b > a
-    )
-    return " ".join(runs) + "\n"
+# write_disparity formats a block of rows at a time: as many as hold up to
+# _WRITE_VALUES valid pixels and _WRITE_PIXELS pixels, and at least one. Its
+# scratch is a few arrays of that many values, and a few bytes a pixel.
+_WRITE_VALUES = 1 << 14
+_WRITE_PIXELS = 1 << 16
+
+# uint64 constants of one byte repeated, and bytes 0 and 4 of 0xFF.
+_BYTES = np.uint64(0x0101010101010101)
+_ABOVE_SPACE = np.uint64(ord("!")) * _BYTES
+_HIGH_BITS = np.uint64(0x80) * _BYTES
+_ZEROS = np.uint64(ord("0")) * _BYTES
+_BIT4 = np.uint64(0x10) * _BYTES
+_PAIRS = np.uint64(0x000000FF000000FF)
+
+# Bytes 0 to j - 1 of a uint64, for j = 0..8.
+_LOW_BYTES = np.array([(1 << 8 * j) - 1 for j in range(9)], dtype=np.uint64)
+
+# The three ASCII digits of 0..999 in bytes 0-2 of a uint64, the most
+# significant first, and how many of them are trailing zeros.
+_ASCII3 = np.array(
+    [int.from_bytes(f"{i:03d}".encode(), "little") for i in range(1000)], dtype=np.uint64
+)
+_ZEROS3 = np.array([3 - len(f"{i:03d}".rstrip("0")) for i in range(1000)])
+
+# _read_written reads this many bytes at a time and parses the whole lines
+# among them, so its passes over them run in cache.
+_READ_BYTES = 1 << 17
+
+# Every byte write_disparity writes after its header line.
+_WRITTEN_BYTES = b"0123456789.+-e \n"
+
+_HEADER = re.compile(rb"([0-9]+) ([0-9]+)\n")
+
+# 10**f for f = 0..8, each a double.
+_POW10 = np.array([float(10**f) for f in range(9)])
+
+
+def _format_values(values):
+    """The text "%.6g " % v of each of a 1-D float array, as (chars,
+    lengths): value i's text is the first lengths[i] bytes of row i of the
+    uint8 array chars, and NULs follow it.
+
+    A value from 1 up to 1e6 whose digits six_digits settles, which is a
+    disparity map's every value but a few, is built in a uint64: the ASCII
+    of its 6 digits, a point after the 6 - k integer ones, then the cut
+    that drops trailing zeros (and a point with none after it) and the
+    space. Every other value is formatted one by one.
+    """
+    digits, k, fast = six_digits(values)
+    carry = digits == 1e6  # rounded up to 10**(6-k): one integer digit more
+    k -= carry
+    fast &= (k >= 0) & (k <= 5)
+    k[~fast] = 0  # any k will do for a value formatted one by one
+    hi, lo = np.divmod(np.where(fast & ~carry, digits, 1e5).astype(np.int64), 1000)
+    word = _ASCII3[hi] | (_ASCII3[lo] << np.uint64(24))
+    low = _LOW_BYTES[6 - k]  # the integer digits' bytes
+    word = (word & low) | (low + np.uint64(1)) * np.uint64(ord(".")) | ((word & ~low) << np.uint64(8))
+    zeros = _ZEROS3[lo]
+    whole = np.flatnonzero(lo == 0)
+    zeros[whole] = 3 + _ZEROS3[hi[whole]]
+    frac = k - np.minimum(zeros, k)
+    lengths = 6 - k + np.where(frac > 0, frac + 1, 0)
+    low = _LOW_BYTES[lengths]
+    word = (word & low) | (low + np.uint64(1)) * np.uint64(ord(" "))
+    lengths += 1
+
+    slow = np.flatnonzero(~fast)
+    texts = [("%.6g " % v).encode() for v in values[slow].tolist()]
+    width = max(8, *(-(-len(t) // 8) * 8 for t in texts)) if texts else 8
+    chars = np.zeros((len(values), width // 8), "<u8")
+    chars[:, 0] = word
+    if texts:
+        padded = b"".join(t.ljust(width, b"\0") for t in texts)
+        chars[slow] = np.frombuffer(padded, "<u8").reshape(len(texts), -1)
+        lengths[slow] = [len(t) for t in texts]
+    return chars.view(np.uint8), lengths
+
+
+def _format_rows(rows, runs):
+    """The text of the rows of a disparity block: "%.6g" per valid pixel,
+    "-1" per invalid one, a space between, "\\n" after each row.
+
+    Each run of -1s is one slice of runs, the 3w-byte "-1 -1 ... -1 " twice
+    over, the second copy ending "-1\\n" for a run that ends its row; each
+    run of values is one slice of the values' text, whose last separator in
+    a row is a "\\n".
+    """
+    h, w = rows.shape
+    valid = ~(rows < 0)  # NaN is written as a value
+    chars, lengths = _format_values(rows[valid])
+    row_last = np.cumsum(valid.sum(axis=1))[valid[:, -1]] - 1  # the values that end a row
+    chars[row_last, lengths[row_last] - 1] = ord("\n")
+    text = chars.tobytes().translate(None, b"\0")
+
+    flat = valid.ravel()
+    change = np.empty(h * w, bool)
+    np.not_equal(flat[1:], flat[:-1], out=change[1:])
+    change[::w] = True
+    starts = np.flatnonzero(change)  # of each run, which a row's end also ends
+    count = np.diff(starts, append=h * w)
+    of_values = flat[starts]
+    run_values = np.where(of_values, count, 0)
+    before = np.cumsum(run_values) - run_values
+    offsets = np.concatenate([[0], np.cumsum(lengths)]) + len(runs)
+    ends_row = (starts + count) % w == 0
+    first = np.where(of_values, offsets[before], np.where(ends_row, 6 * w - 3 * count, 0))
+    last = np.where(of_values, offsets[before + run_values], np.where(ends_row, 6 * w, 3 * count))
+    source = runs + text
+    return b"".join([source[a:b] for a, b in zip(first.tolist(), last.tolist())])
 
 
 def write_disparity(path, disp):
-    """Text format: 'width height' line, then one row per line, -1 = invalid."""
+    """Text format: a 'width height' line, then one line per row: "%.6g" of
+    each valid pixel and "-1" for each invalid one, one space between
+    tokens and "\\n" after each row.
+
+    The bytes are those of formatting every pixel in turn. _format_rows
+    formats the rows in blocks, in which only valid values cost a value's
+    work; before[i] counts the valid pixels of the rows before row i.
+    """
     disp = np.asarray(disp, dtype=float)
     h, w = disp.shape
-    valid = ~(disp < 0)  # NaN is written as a value
-    with open(path, "w") as f:
-        f.write(f"{w} {h}\n")
-        for row, ok in zip(disp, valid):
-            f.write(_row_format(ok) % tuple(row[ok].tolist()))
+    with open(path, "wb") as f:
+        f.write(f"{w} {h}\n".encode())
+        if w == 0:
+            f.write(b"\n" * h)
+            return
+        runs = b"-1 " * (2 * w - 1) + b"-1\n"
+        before = np.concatenate([[0], np.cumsum(w - np.count_nonzero(disp < 0, axis=1))])
+        start = 0
+        while start < h:
+            stop = np.searchsorted(before, before[start] + _WRITE_VALUES, "right") - 1
+            stop = min(max(stop, start + 1), start + max(1, _WRITE_PIXELS // w))
+            f.write(_format_rows(disp[start:stop], runs))
+            start = stop
+
+
+def _separated(words):
+    """The bytes before the first space or "\\n" in each uint64 of a written
+    file's bytes, as (count, mask of those bytes): 8 and all ones without one.
+
+    They are the only bytes below "!" such a file holds. (x - 0x21...) & ~x
+    sets bit 7 of each byte of x below "!", and of no byte below the lowest
+    of them (a borrow may set it in higher ones).
+    """
+    below = (words - _ABOVE_SPACE) & ~words & _HIGH_BITS
+    keep = ((below & -below) >> np.uint64(7)) - np.uint64(1)
+    return np.bitwise_count(keep) >> 3, keep
+
+
+def _parse_decimals(body, words, keep, starts, lengths):
+    """float(t) for each token t of body at starts, of lengths, whose first
+    bytes are words masked to keep; None when one is not a finite number.
+
+    A token of up to 8 bytes, digits with at most one point, is parsed in
+    its uint64 for all tokens at once: the point is cut out, and three
+    multiply-and-add steps sum the digits, padded with zeros to 8, into r;
+    r / 10**e, with e the digits after the point plus the padding, is
+    float(t) exactly (Clinger 1990: r < 10**8 and 10**e are doubles, and
+    one division rounds once). numpy's cast from bytes, which parses as
+    float() does, takes any other token: an empty one, from a doubled
+    separator, is no number.
+    """
+    digits = (words ^ _ZEROS) & keep
+    # of the bytes a written file holds, the digits alone xor "0" to bit 4 clear
+    marked = digits & _BIT4
+    ones = marked >> np.uint64(4)
+    low = ones - np.uint64(1)  # the bytes before the marked one
+    at = np.bitwise_count(low) >> 3  # the marked byte; 8 without one
+    marks = np.bitwise_count(marked)
+    exact = (lengths <= 8) & (marks <= 1) & (lengths > marks)
+    exact &= digits & (ones * np.uint64(0xFF)) == ones * np.uint64(ord(".") ^ ord("0"))
+    digits = (digits & low) | ((digits >> np.uint64(8)) & ~low)
+    digits = digits * np.uint64(10) + (digits >> np.uint64(8))
+    digits = (
+        (digits & _PAIRS) * np.uint64(100 + (1000000 << 32))
+        + ((digits >> np.uint64(16)) & _PAIRS) * np.uint64(1 + (10000 << 32))
+    ) >> np.uint64(32)
+    values = digits.astype(np.float64) / _POW10[8 - np.minimum(at, lengths)]
+    other = np.flatnonzero(~exact)
+    if len(other):
+        tokens = [body[a : a + n].tobytes() for a, n in zip(starts[other].tolist(), lengths[other].tolist())]
+        try:
+            parsed = np.array(tokens).astype(np.float64)
+        except ValueError:
+            return None
+        if not np.isfinite(parsed).all():
+            return None
+        parsed[parsed < 0] = INVALID
+        values[other] = parsed
+    return values
+
+
+def _read_rows(body, words, line_ends, w, out):
+    """Parse body, whole lines that end at line_ends, into out, w values a
+    line; False unless each line holds w tokens with one space between and
+    body is laid out as write_disparity lays it out. words[i] is the uint64
+    of the 8 bytes from body[i]; 16 bytes follow body in words' buffer.
+
+    A "-1" token takes 3 bytes with its separator, so each other token's
+    pixel follows from its byte offset and the bytes of the other tokens
+    before it, without a look at the -1s one by one.
+    """
+    sep = body <= ord(" ")  # a space or a "\\n"
+    first = np.empty_like(sep)  # the first byte of each token
+    first[0] = True
+    first[1:] = sep[:-1]
+    sentinel = np.zeros_like(sep)  # the first byte of each "-1" token
+    np.logical_and(first[:-2], body[:-2] == ord("-"), out=sentinel[:-2])
+    sentinel[:-2] &= body[1:-1] == ord("1")
+    sentinel[:-2] &= sep[2:]
+    first &= ~sentinel
+    starts = np.flatnonzero(first)
+    token = words[starts]
+    size, keep = _separated(token)
+    lengths = size.astype(np.int64)
+    longer = np.flatnonzero(size == 8)
+    if len(longer):
+        more, _ = _separated(words[starts[longer] + 8])
+        if (more == 8).any():
+            return False  # 16 bytes or more: no "%.6g"
+        lengths[longer] += more
+    # Each byte before value t belongs to an earlier token or its separator:
+    # length + 1 bytes for a value, 3 for a -1. Less length - 2 for each
+    # earlier value, they are 3 for each earlier token: t's pixel, counted
+    # from body's first. The same sum up to a line's end counts its tokens
+    # and those of the lines before it.
+    extra = lengths - 2
+    passed = np.cumsum(extra)
+    pixels = (starts + extra - passed) // 3
+    before = np.searchsorted(starts, line_ends)
+    counted = (line_ends + 1 - np.concatenate([[0], passed])[before]) // 3
+    if not np.array_equal(counted, np.arange(1, len(line_ends) + 1) * w):
+        return False
+    values = _parse_decimals(body, token, keep, starts, lengths)
+    if values is None:
+        return False
+    out.fill(INVALID)
+    out[pixels] = values
+    return True
+
+
+def _read_written(f, h, w):
+    """The (h, w) map on the lines left in the binary file f, or None unless
+    they are laid out as write_disparity lays them out: h lines, each w
+    tokens with one space between and "\\n" after, of _WRITTEN_BYTES alone.
+
+    The whole lines in each _READ_BYTES read go to _read_rows, from a copy
+    padded with the 16 bytes its tokens' reads may run past them; the file
+    is never held whole.
+    """
+    if h == 0 or w == 0 or 2 * h * w > os.fstat(f.fileno()).st_size - f.tell():
+        return None  # a token takes a byte and a separator
+    disp = np.empty(h * w)
+    row = 0
+    rest = b""
+    while block := f.read(_READ_BYTES):
+        data = rest + block
+        cut = data.rfind(b"\n") + 1
+        data, rest = data[:cut], data[cut:]
+        if not data:
+            continue  # no line ends in it yet
+        if data.translate(None, _WRITTEN_BYTES):
+            return None
+        body = np.frombuffer(data + bytes(16), np.uint8)
+        words = np.ndarray((len(data),), "<u8", body, 0, (1,))
+        body = body[: len(data)]
+        line_ends = np.flatnonzero(body == ord("\n"))
+        rows = len(line_ends)
+        if row + rows > h or not _read_rows(body, words, line_ends, w, disp[row * w : (row + rows) * w]):
+            return None
+        row += rows
+    return disp.reshape(h, w) if row == h and not rest else None
 
 
 def read_disparity(path):
+    """Read a disparity map: (height, width) float64, each negative value
+    read as INVALID.
+
+    A file as write_disparity writes it is read by _read_written. Any other
+    that the format allows, with values in any spelling float() takes, any
+    whitespace between them, "\\r\\n" line ends or lines past the last row,
+    goes through textio.parse_float_rows, whose loop names the line of the
+    first fault in a ParseError.
+    """
+    with open(path, "rb") as f:
+        header = _HEADER.fullmatch(f.readline())
+        disp = header and _read_written(f, int(header[2]), int(header[1]))
+    if disp is not None:
+        return disp
     lines = text_lines(path)
     first = next(lines, None)
     if first is None:

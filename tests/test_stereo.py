@@ -20,6 +20,7 @@ from rebartie.stereo import (
 )
 
 from conftest import peak_bytes
+from test_scene import tilted_spec
 
 RIG = StereoRig(
     CameraModel(fx=500.0, fy=500.0, cx=80.0, cy=60.0, width=160, height=120),
@@ -644,6 +645,30 @@ class TestDisparityCodecMatchesReference:
     def test_rendered_scene_map(self, tmp_path):
         rig = StereoRig(CameraModel(700.0, 700.0, 640.0, 360.0, 1280, 720), 0.06)
         disp = render_disparity(GridSpec(), rig)
+        fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
+        write_disparity(fast, disp)
+        reference_write_disparity(ref, disp)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert read_disparity(fast).tobytes() == reference_read_disparity(ref).tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_tilted_scene_maps(self, tmp_path, seed):
+        """Sparse maps: a few percent of pixels valid, on rods at a tilt."""
+        rig = StereoRig(CameraModel(700.0, 700.0, 640.0, 360.0, 1280, 720), 0.06)
+        disp = render_disparity(tilted_spec(seed), rig)
+        assert 0 < np.mean(disp >= 0) < 0.1
+        fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
+        write_disparity(fast, disp)
+        reference_write_disparity(ref, disp)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert read_disparity(fast).tobytes() == reference_read_disparity(ref).tobytes()
+
+    def test_block_matched_map(self, tmp_path):
+        """A dense map: the matcher's sub-pixel values on most pixels."""
+        spec = GridSpec(seed=5)
+        left, right = synth_stereo_pair(spec, render_disparity(spec, RIG))
+        disp = block_match_disparity(left, right, block_radius=2, max_disparity=64)
+        assert np.mean(disp >= 0) > 0.5
         fast, ref = tmp_path / "fast.txt", tmp_path / "ref.txt"
         write_disparity(fast, disp)
         reference_write_disparity(ref, disp)
