@@ -32,6 +32,9 @@ _POW10 = np.array([float(10**k) for k in range(23)])
 _SOR_BLOCK_ROWS = 2048
 _SOR_WINDOW_VALUES = 48 * _SOR_BLOCK_ROWS
 
+# The widest pixel window SOR tries before the kd-tree: k = 16's, 17x17.
+_WIDE_RADIUS = 8
+
 # How far x/z and y/z may put a point from its pixel's centre, in pixels,
 # for the window pass to take the point as lying on that pixel's ray.
 _PIXEL_TOL = 1e-6
@@ -82,7 +85,7 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
     order preserved.
 
     Given the camera the cloud was back-projected with, a point takes its
-    neighbours from its pixel window when _PixelWindows proves them the k
+    neighbours from a pixel window when _PixelWindows proves them the k
     nearest; the kd-tree answers every other point, and every point of a
     cloud that does not lie one point to a pixel ray. Both give the same
     distances, so the camera changes no result.
@@ -92,45 +95,76 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
     n = len(cloud)
     if n <= k:
         raise TooFewPoints(f"cloud of size {n} needs more than k={k} points")
-    # imported here: scipy.spatial adds about 0.2 s to every subcommand's
-    # start-up, and no other stage needs it
+    points = cloud.points
+    mean_dists = np.full(n, np.nan)  # nan until a window or the tree settles the point
+    windows = None if camera is None else _PixelWindows.build(points, camera, k)
+    left = n if windows is None else windows.settle(points, mean_dists)
+    # the windows' index image is freed before the tree is built, so the
+    # two are never held at once
+    del windows
+    if left:
+        _tree_settle(points, k, mean_dists)
+    threshold = mean_dists.mean() + sigma_mult * mean_dists.std()
+    keep = mean_dists <= threshold
+    del mean_dists  # its memory can hold the survivors
+    if not keep.any():
+        raise TooFewPoints(
+            "no point survives: every mean kNN distance exceeds "
+            f"mu + sigma_mult * sigma = {threshold:.6g}"
+        )
+    return _take_where(cloud, keep)
+
+
+def _take_where(cloud, keep):
+    """cloud.take(np.flatnonzero(keep)), copied a block of rows at a time:
+    no whole-cloud index array is held next to the survivors."""
+    columns = [a for a in (cloud.points, cloud.provenance) if a is not None]
+    count = int(np.count_nonzero(keep))
+    out = [np.empty((count, a.shape[1]), a.dtype) for a in columns]
+    at = 0
+    for start in range(0, len(keep), _SOR_BLOCK_ROWS):
+        rows = keep[start : start + _SOR_BLOCK_ROWS]
+        stop = at + int(np.count_nonzero(rows))
+        for a, b in zip(columns, out):
+            b[at:stop] = a[start : start + _SOR_BLOCK_ROWS][rows]
+        at = stop
+    return PointCloud(*out)
+
+
+def _tree_settle(points, k, mean_dists):
+    """Write the mean kNN distance of each point still nan in mean_dists,
+    from a kd-tree over the whole cloud."""
+    # imported here: scipy.spatial adds about 0.3 s and 38 MB to a process,
+    # and only the points no pixel window settles need it
     from scipy.spatial import cKDTree
 
-    points = cloud.points
     # The kNN distances are exact, so the tree's shape, the threads the
     # query runs on and the blocks it is split into cannot change them; the
-    # unbalanced, non-compact tree is the quicker one to build. It is built
-    # before the pixel windows, so its build transient and their index
-    # image are not held at once.
+    # unbalanced, non-compact tree is the quicker one to build.
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
-    windows = None if camera is None else _PixelWindows.build(points, camera, k)
-    mean_dists = np.empty(n)
-    block = _SOR_BLOCK_ROWS if windows is None else windows.block_rows
+    n = len(points)
 
-    def work(scratch, starts):
+    def work(_, starts):
         for start in starts:
-            stop = min(start + block, n)
-            if windows is None:
-                rest = np.arange(start, stop)
-            else:
-                rest = start + windows.fill(points[start:stop], mean_dists[start:stop], scratch)
+            rest = start + np.flatnonzero(np.isnan(mean_dists[start : start + _SOR_BLOCK_ROWS]))
             if len(rest):
                 # k+1 because the query returns each point itself at distance zero
                 dists, _ = tree.query(points[rest], k=k + 1)
                 mean_dists[rest] = dists[:, 1:].mean(axis=1)
 
-    # numpy and the tree query release the GIL, so the blocks run in parallel
-    run_striped(range(0, n, block), (lambda: None) if windows is None else windows.scratch, work)
-    del tree, windows
-    threshold = mean_dists.mean() + sigma_mult * mean_dists.std()
-    keep = np.flatnonzero(mean_dists <= threshold)
-    del mean_dists  # its memory, the tree's and the windows' can hold the survivors
-    if len(keep) == 0:
-        raise TooFewPoints(
-            "no point survives: every mean kNN distance exceeds "
-            f"mu + sigma_mult * sigma = {threshold:.6g}"
-        )
-    return cloud.take(keep)
+    # the tree query releases the GIL, so the blocks run in parallel
+    run_striped(range(0, n, _SOR_BLOCK_ROWS), lambda: None, work)
+
+
+@dataclass
+class _Window:
+    """One pixel window of _PixelWindows: the flat offsets of its pixels
+    but the centre in the padded index image, and the bound's s along u
+    and v."""
+
+    offsets: np.ndarray
+    su: float
+    sv: float
 
 
 class _PixelWindows:
@@ -145,23 +179,45 @@ class _PixelWindows:
     fy and b. A point whose k-th smallest window distance lies below both
     bounds has its k nearest neighbours in its window, and their distances,
     computed as cKDTree computes them, are the tree's bit for bit.
+
+    Every point tries the narrow window, the smallest with 3k neighbours or
+    more (R = 3 for k = 16); the points it leaves try the wide one, R =
+    ceil(k/2), which holds the k nearest of a point on a line of pixels one
+    pixel wide, k/2 on each side (R = 8 for k = 16). The wide radius is at
+    most _WIDE_RADIUS, k = 16's: a window's cost per point grows with its
+    area, k^2, the tree query's with k.
     """
 
-    def __init__(self, points, camera, k, radius, index):
+    def __init__(self, points, camera, k, radii, index):
         self.flat = np.ascontiguousarray(points).reshape(-1)  # x0 y0 z0 x1 ...
         self.camera = camera
         self.k = k
-        self.radius = radius
-        self.index = index  # the point on each pixel, -1 on none; padded by radius
-        # each window pixel but the centre, as flat offsets in the padded image
-        dv, du = np.divmod(np.arange((2 * radius + 1) ** 2), 2 * radius + 1)
-        offsets = (dv - radius) * index.shape[1] + (du - radius)
-        self.offsets = offsets[offsets != 0]
-        self.block_rows = min(_SOR_BLOCK_ROWS, max(1, _SOR_WINDOW_VALUES // len(self.offsets)))
+        self.radius = radii[0]  # the narrow window's
+        self.pad = radii[-1]
+        self.index = index  # the point on each pixel, -1 on none; padded by the widest radius
+        offsets = [self._offsets(r) for r in radii]
+        self.block_rows = min(_SOR_BLOCK_ROWS, max(1, _SOR_WINDOW_VALUES // len(offsets[0])))
+        # the wide window takes as many points at a time as fill the narrow
+        # one's block of scratch, and at least one
+        self.scratch_values = max(self.block_rows * len(offsets[0]), len(offsets[-1]))
+        self.wide_rows = self.scratch_values // len(offsets[-1])
         # the bound's s for a pixel R+1 away, less the _PIXEL_TOL by which
         # each of the two points may sit off its pixel's centre
-        self.su = (radius + 1 - 2 * _PIXEL_TOL) / camera.fx
-        self.sv = (radius + 1 - 2 * _PIXEL_TOL) / camera.fy
+        self.narrow, *wide = (
+            _Window(
+                offsets=o,
+                su=(r + 1 - 2 * _PIXEL_TOL) / camera.fx,
+                sv=(r + 1 - 2 * _PIXEL_TOL) / camera.fy,
+            )
+            for r, o in zip(radii, offsets)
+        )
+        self.wide = wide[0] if wide else None
+
+    def _offsets(self, radius):
+        """Each window pixel but the centre, as flat offsets in the padded image."""
+        dv, du = np.divmod(np.arange((2 * radius + 1) ** 2), 2 * radius + 1)
+        offsets = (dv - radius) * self.index.shape[1] + (du - radius)
+        return offsets[offsets != 0]
 
     @classmethod
     def build(cls, points, camera, k):
@@ -172,13 +228,15 @@ class _PixelWindows:
         """
         w, h = camera.width, camera.height
         n = len(points)
-        # the smallest window with 3k neighbours or more: R = 3 for k = 16
-        radius = 1
-        while (2 * radius + 1) ** 2 - 1 < 3 * k:
-            radius += 1
-        index = np.full((h + 2 * radius, w + 2 * radius), -1, dtype=np.int32)
-        frame = index[radius : radius + h, radius : radius + w]
-        windows = cls(points, camera, k, radius, index)
+        narrow = 1
+        while (2 * narrow + 1) ** 2 - 1 < 3 * k:
+            narrow += 1
+        wide = min(-(-k // 2), _WIDE_RADIUS)
+        radii = [narrow] + ([wide] if wide > narrow else [])
+        pad = radii[-1]
+        index = np.full((h + 2 * pad, w + 2 * pad), -1, dtype=np.int32)
+        frame = index[pad : pad + h, pad : pad + w]
+        windows = cls(points, camera, k, radii, index)
         for start in range(0, n, _SOR_BLOCK_ROWS):
             block = points[start : start + _SOR_BLOCK_ROWS]
             z = block[:, 2]
@@ -195,28 +253,81 @@ class _PixelWindows:
             return None
         return windows
 
-    def bound(self, block):
-        """Each point's distance bound to the points outside its window."""
+    def bound(self, block, window=None):
+        """Each point's distance bound to the points outside its window
+        (the narrow one unless given)."""
+        window = window or self.narrow
         x, y, z = block.T
         return np.minimum(
-            z * self.su / np.sqrt(1 + (np.abs(x / z) + self.su) ** 2),
-            z * self.sv / np.sqrt(1 + (np.abs(y / z) + self.sv) ** 2),
+            z * window.su / np.sqrt(1 + (np.abs(x / z) + window.su) ** 2),
+            z * window.sv / np.sqrt(1 + (np.abs(y / z) + window.sv) ** 2),
         )
 
     def scratch(self):
         """One thread's buffers for fill."""
-        shape = (self.block_rows, len(self.offsets))
-        return [np.empty(shape, dtype) for dtype in (np.intp, np.int32, bool, float, float)]
+        return [np.empty(self.scratch_values, t) for t in (np.intp, np.int32, bool, float, float)]
+
+    def settle(self, points, mean_dists):
+        """Write the mean kNN distance of each point whose narrow or wide
+        window proves its k nearest into mean_dists, on run_striped's
+        threads; return how many points neither settles.
+
+        Each thread fills its blocks with the narrow window and gathers the
+        points that leaves until they fill a batch of the wide window's
+        rows: a block leaves a few dozen, and a call per block would cost
+        more than the window's own work.
+        """
+        n = len(points)
+        left = []
+
+        def work(scratch, starts):
+            pending, count = [], 0
+            for start in starts:
+                stop = min(start + self.block_rows, n)
+                rest = start + self.fill(points[start:stop], mean_dists[start:stop], scratch)
+                if self.wide is None:
+                    left.append(len(rest))
+                    continue
+                pending.append(rest)
+                count += len(rest)
+                if count >= self.wide_rows or start == starts[-1]:
+                    left.append(self._fill_wide(points, np.concatenate(pending), mean_dists, scratch))
+                    pending, count = [], 0
+
+        # numpy releases the GIL, so the blocks run in parallel
+        run_striped(range(0, n, self.block_rows), self.scratch, work)
+        return sum(left)
 
     def fill(self, block, out, scratch):
-        """Write the mean kNN distance of each point of block whose window
-        proves its k nearest into out; return the others' rows in block."""
-        k, r = self.k, self.radius
-        at, nbr, empty, d2, coord = (a[: len(block)] for a in scratch)
+        """Write the mean kNN distance of each point of block whose narrow
+        window proves its k nearest into out; return the others' rows in
+        block."""
+        proven, means = self._prove(self.narrow, block, scratch)
+        out[proven] = means
+        return np.flatnonzero(~proven)
+
+    def _fill_wide(self, points, rows, out, scratch):
+        """fill for points[rows] with the wide window, writing out[rows];
+        return how many of them it leaves."""
+        left = 0
+        for start in range(0, len(rows), self.wide_rows):
+            batch = rows[start : start + self.wide_rows]
+            proven, means = self._prove(self.wide, points[batch], scratch)
+            out[batch[proven]] = means
+            left += len(batch) - len(means)
+        return left
+
+    def _prove(self, window, block, scratch):
+        """Which points of block the window proves, and their mean kNN
+        distances."""
+        k, r = self.k, self.pad
+        at, nbr, empty, d2, coord = (
+            a[: len(block) * len(window.offsets)].reshape(len(block), -1) for a in scratch
+        )
         # build put every point on a pixel of the frame, so nothing overflows
         u, v = (np.rint(c).astype(np.intp) + r for c in project(self.camera, block).T)
         centre = v * self.index.shape[1] + u
-        np.add(centre[:, None], self.offsets, out=at)
+        np.add(centre[:, None], window.offsets, out=at)
         np.take(self.index.ravel(), at, out=nbr, mode="clip")
         # (dx*dx + dy*dy) + dz*dz, as cKDTree sums them, one coordinate at a
         # time from the flat points; an empty pixel (index -1) reads a
@@ -233,12 +344,11 @@ class _PixelWindows:
             d2 += coord
         np.copyto(d2, np.inf, where=empty)
         d2.partition(k - 1, axis=1)
-        bound = self.bound(block) * (1 - _BOUND_MARGIN)
+        bound = self.bound(block, window) * (1 - _BOUND_MARGIN)
         proven = d2[:, k - 1] <= bound * bound
         nearest = d2[proven, :k]
         nearest.sort(axis=1)
-        out[proven] = np.sqrt(nearest, out=nearest).mean(axis=1)
-        return np.flatnonzero(~proven)
+        return proven, np.sqrt(nearest, out=nearest).mean(axis=1)
 
 
 def _voxel_key(coords, voxel_size):
@@ -315,15 +425,25 @@ def six_digits(values):
         k = 5 - np.floor(np.log10(np.abs(values)))
         fast = np.abs(k) <= 21  # room for the correction below
         k = np.where(fast, k, 0).astype(np.int64)
-        scaled = np.where(k >= 0, values * _POW10[np.abs(k)], values / _POW10[np.abs(k)])
+        scaled = _times_pow10(values, k)
         # log10 may be one off near a power of ten
         k += np.abs(scaled) < 1e5
         k -= np.abs(scaled) >= 1e6
-        scale = _POW10[np.abs(k)]
-        scaled = np.where(k >= 0, values * scale, values / scale)
+        scaled = _times_pow10(values, k)
         digits = np.rint(scaled)
         fast &= (np.abs(scaled - digits) < 0.5 - 1e-6) & (np.abs(digits) >= 1e5) & (np.abs(digits) <= 1e6)
     return digits, k, fast
+
+
+def _times_pow10(values, k):
+    """values * 10**k for integer k, |k| <= 22: one multiply by the exact
+    power of ten where k >= 0, one divide by it where k < 0."""
+    scale = _POW10[np.abs(k)]
+    up = k >= 0
+    out = np.empty(values.shape)
+    np.multiply(values, scale, out=out, where=up)
+    np.divide(values, scale, out=out, where=~up)
+    return out
 
 
 def round_to_6_digits(values):
@@ -334,9 +454,8 @@ def round_to_6_digits(values):
     formatted one by one.
     """
     digits, k, fast = six_digits(values)
-    scale = _POW10[np.abs(k)]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        out = np.where(k >= 0, digits / scale, digits * scale)
+        out = _times_pow10(digits, -k)
     slow = np.flatnonzero(~fast)
     out[slow] = [float("%.6g" % v) for v in values[slow].tolist()]
     return out

@@ -6,6 +6,7 @@ import numpy as np
 from .cloud import PointCloud
 from .errors import BadParameter, MissingProvenance, SizeMismatch
 from .geometry import plane_signed_distance, project
+from .maxfilter import square_max
 from .pnm import read_pgm, write_pgm
 
 
@@ -37,16 +38,12 @@ def rasterize_mask(selected, width, height, dilation_radius=2):
         raise ValueError("provenance pixel outside image bounds")
     mask[vs, us] = True
     if dilation_radius > 0:
-        # imported here, as in stereo.window_disparity_filter: scipy.ndimage
-        # is most of a subcommand's start-up
-        from scipy import ndimage
-
         # a square dilation is the maximum over the square, zero outside;
         # no pixel farther than the radius from the set pixels' bounding box
         # can change, so only that box, grown by the radius, is filtered
         r = dilation_radius
         box = np.s_[max(v0 - r, 0) : v1 + r + 1, max(u0 - r, 0) : u1 + r + 1]
-        mask[box] = ndimage.maximum_filter(mask[box], size=2 * r + 1, mode="constant", cval=0)
+        mask[box] = square_max(mask[box], 2 * r + 1, False)
     return mask
 
 

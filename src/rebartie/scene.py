@@ -287,10 +287,11 @@ def render_disparity(spec, rig):
             z = np.where(ok & (t < z), t, z)
         zbuf[box] = z
 
+    # the disparity is written over the z-buffer: no second frame
     hit = np.isfinite(zbuf)
-    disp = np.full(zbuf.shape, -1.0)
-    disp[hit] = cam.fx * rig.baseline / zbuf[hit]
-    return disp
+    np.divide(cam.fx * rig.baseline, zbuf, out=zbuf, where=hit)
+    zbuf[~hit] = -1.0
+    return zbuf
 
 
 def synth_stereo_pair(spec, disparity):

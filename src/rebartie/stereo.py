@@ -14,6 +14,7 @@ import numpy as np
 from .blocks import run_striped
 from .cloud import PointCloud, six_digits
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
+from .maxfilter import square_max
 from .textio import parse_float_rows, text_lines
 
 INVALID = -1.0
@@ -253,13 +254,7 @@ def window_disparity_filter(disp, window=31, delta=3.0):
     # every pixel outside the valid pixels' bounding box is invalid, -inf
     # like the border, so the maximum over the box alone is the same
     box = np.s_[rows[0] : rows[-1] + 1, cols[0] : cols[-1] + 1]
-    # imported here: scipy.ndimage is most of a subcommand's start-up, and
-    # only this filter and the plane mask's dilation use it
-    from scipy import ndimage
-
-    local_max = ndimage.maximum_filter(
-        np.where(valid[box], disp[box], -np.inf), size=window, mode="constant", cval=-np.inf
-    )
+    local_max = square_max(np.where(valid[box], disp[box], -np.inf), window, -np.inf)
     local_max -= delta
     keep = valid[box] & (disp[box] >= local_max)
     out = np.full(disp.shape, INVALID)

@@ -1,4 +1,5 @@
 import argparse
+import os
 import random
 import socket
 import subprocess
@@ -419,9 +420,9 @@ class TestErrors:
 
 
 def test_imports_load_no_scipy():
-    # SciPy is most of a subcommand's start-up; only the stages that call it
-    # (window filter, SOR, mask dilation) import it, when they run, and so
-    # do the threaded stages (block matching, SOR) concurrent.futures. The
+    # SciPy is most of a subcommand's start-up; only SOR imports it, when a
+    # point is left that no pixel window settles, and the threaded stages
+    # (block matching, SOR) import concurrent.futures when they run. The
     # package re-exports nothing, so the robot link loads no pipeline stage.
     src = Path(rebartie.__file__).resolve().parents[1]
     own = {
@@ -860,6 +861,38 @@ def test_voxel_too_small_for_the_cloud_exit_1(tmp_path, walkthrough, capsys):
     )
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_rendered_walkthrough_loads_no_scipy(tmp_path, identity_calib_file):
+    # the default scene from synth to eval through cli.main in one fresh
+    # interpreter: the max filters are numpy's, and the pixel windows settle
+    # every point of the rendered cloud, so SOR builds no kd-tree
+    steps = [
+        ["synth", "--out", "bundle"],
+        ["cloud", "bundle/disparity.txt", "--out", "cloud.ply"],
+        ["planes", "cloud.ply", "--out", "planes.txt"],
+        ["mask", "cloud.ply", "planes.txt", "image.ppm",
+         "--mask-out", "mask.pgm", "--filtered-out", "filtered.ppm"],
+        ["nodes", "bundle/labels.txt", "planes.txt", str(identity_calib_file), "--out", "ties.txt"],
+        ["eval", "ties.txt", "bundle/gt_nodes.txt", "--out", "metrics.txt"],
+    ]
+    code = (
+        "import sys, numpy as np; from rebartie import cli, pnm; "
+        f"steps = {steps!r}; "
+        "assert cli.main(steps[0]) == 0; "
+        "left = pnm.read_pgm('bundle/left.pgm'); "
+        "pnm.write_ppm('image.ppm', np.stack([left] * 3, axis=-1)); "
+        "assert all(cli.main(argv) == 0 for argv in steps[1:]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(rebartie.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert "matched=" in (tmp_path / "metrics.txt").read_text()
 
 
 class TestCloudPeakAllocation:

@@ -378,7 +378,8 @@ def jumps_and_holes_map(seed=7):
 
 @pytest.fixture
 def tree_rows(monkeypatch):
-    """Rows the kd-tree answers in each block of the window pass."""
+    """Rows the narrow window leaves in each block of the window pass: the
+    wide window, then the kd-tree, answers them."""
     rows = []
     fill = cloudmod._PixelWindows.fill
 
@@ -517,6 +518,98 @@ class TestSorPixelWindows:
             sys.setswitchinterval(interval)
         assert same_bits(out.points, default.points)
         assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+
+
+class TestSorWideWindow:
+    """Points whose k nearest lie along a one-pixel-wide line of pixels, as
+    on a thin rod's image or a rod's edge: the narrow window (7 x 7 at
+    k = 16) holds too few of them, and the wide one (17 x 17) settles them."""
+
+    camera = CameraModel(200.0, 200.0, 48.0, 32.0, 96, 64)
+
+    def strips(self):
+        # a near horizontal strip over a far vertical one, each one pixel wide
+        disp = np.full((64, 96), -1.0)
+        disp[20:60, 40] = 10.0
+        disp[30, 8:88] = 12.0
+        return grid_cloud(self.camera, disp).points
+
+    def test_narrow_window_proves_none_and_the_wide_one_most(self):
+        points = self.strips()
+        windows = cloudmod._PixelWindows.build(points, self.camera, 16)
+        assert windows.wide is not None
+        means = np.full(len(points), np.nan)
+        assert len(windows.fill(points, means, windows.scratch())) == len(points)
+        left = windows.settle(points, means)
+        settled = np.flatnonzero(~np.isnan(means))
+        assert left == len(points) - len(settled)
+        assert len(settled) > 0.6 * len(points)
+        dists, _ = cKDTree(points).query(points[settled], k=17)
+        assert same_bits(means[settled], dists[:, 1:].mean(axis=1))
+
+    @pytest.mark.parametrize("sigma_mult", [1.0, -0.5])
+    def test_survivors_are_the_trees(self, sigma_mult, monkeypatch):
+        # the strips' ends and the far strip's gap under the near one are
+        # left to the tree
+        asked = []
+        tree_settle = cloudmod._tree_settle
+
+        def counted(points, k, mean_dists):
+            asked.append(int(np.isnan(mean_dists).sum()))
+            tree_settle(points, k, mean_dists)
+
+        monkeypatch.setattr(cloudmod, "_tree_settle", counted)
+        cloud = PointCloud(self.strips())
+        out = statistical_outlier_removal(cloud, 16, sigma_mult, self.camera)
+        assert same_bits(out.points, reference_sor(cloud, 16, sigma_mult).points)
+        assert len(asked) == 1 and 0 < asked[0] < 0.4 * len(cloud)
+
+    @pytest.mark.parametrize("block_rows", [7, 64])
+    def test_wide_batches_do_not_change_survivors(self, monkeypatch, block_rows):
+        # narrow blocks of a few points: each thread's wide batch gathers
+        # the points of many blocks, and flushes a partial one at its end
+        monkeypatch.setattr(cloudmod, "_SOR_WINDOW_VALUES", 48 * block_rows)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        out = statistical_outlier_removal(cloud, 16, 1.0, camera)
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+
+    def test_tree_not_built_when_the_windows_settle_every_point(self, monkeypatch):
+        # a closed loop of strips has no ends: every point has 8 strip
+        # pixels on each side
+        disp = np.full((64, 96), -1.0)
+        disp[10, 10:80] = disp[50, 10:80] = 10.0
+        disp[10:51, 10] = disp[10:51, 79] = 10.0
+        cloud = grid_cloud(self.camera, disp)
+
+        def no_tree(*args):
+            raise AssertionError("the kd-tree was built")
+
+        monkeypatch.setattr(cloudmod, "_tree_settle", no_tree)
+        out = statistical_outlier_removal(cloud, 16, 1.0, self.camera)
+        monkeypatch.undo()
+        assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
+
+    def test_wide_bound_is_the_nearest_outside_distance(self):
+        # TestWindowBound's X and X', with X' 9 columns from X's pixel, just
+        # outside the wide window (R = 8), at the depth nearest to X
+        camera, x = TestWindowBound.camera, TestWindowBound.x
+        a, a2 = 0.08, 0.08 + 9 / camera.fx
+        t = a2 * x[2] * (a - a2) / (1 + a2 * a2)
+        far = (x[2] + t) * np.array([a2, 0.0, 1.0])
+        pts = np.array([x, far])
+        windows = cloudmod._PixelWindows.build(pts, camera, 16)
+        bound = windows.bound(pts[:1], windows.wide)[0]
+        assert bound <= np.linalg.norm(far - x) <= bound * (1 + 1e-5)
+
+    @pytest.mark.parametrize("k, radii", [(1, [1]), (4, [2]), (5, [2, 3]), (16, [3, 8]),
+                                          (60, [7, 8]), (74, [7, 8]), (75, [8]), (200, [12])])
+    def test_window_radii(self, k, radii):
+        camera, disp = jumps_and_holes_map()
+        windows = cloudmod._PixelWindows.build(grid_cloud(camera, disp).points, camera, k)
+        sides = [int(np.sqrt(len(w.offsets) + 1)) for w in (windows.narrow, windows.wide) if w]
+        assert sides == [2 * r + 1 for r in radii]
 
 
 class TestWindowBound:
