@@ -1,5 +1,6 @@
 """Point clouds and conditioning: statistical outlier removal, voxel downsampling."""
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -7,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import run_striped
-from .errors import BadParameter, ParseError, TooFewPoints
-from .geometry import project
+from .errors import BadParameter, CoordinateOutOfRange, ParseError, TooFewPoints
+from .geometry import check_coordinates, project
 from .textio import parse_float_rows, text_lines
 
 # The header write_ply writes, and the only binary header read_ply takes.
@@ -70,10 +71,20 @@ class PointCloud:
     def __len__(self):
         return self.points.shape[0]
 
-    def take(self, indices):
-        """Sub-cloud at the given indices, provenance filtered in lockstep."""
-        prov = None if self.provenance is None else self.provenance[indices]
-        return PointCloud(self.points[indices], prov)
+    def take(self, keep):
+        """The sub-cloud of the rows where the boolean mask keep is true,
+        provenance in lockstep, copied a block of rows at a time: no
+        whole-cloud index array is held next to the result."""
+        columns = [a for a in (self.points, self.provenance) if a is not None]
+        out = [np.empty((int(np.count_nonzero(keep)), a.shape[1]), a.dtype) for a in columns]
+        at = 0
+        for start in range(0, len(keep), _SOR_BLOCK_ROWS):
+            rows = keep[start : start + _SOR_BLOCK_ROWS]
+            stop = at + int(np.count_nonzero(rows))
+            for a, b in zip(columns, out):
+                b[at:stop] = a[start : start + _SOR_BLOCK_ROWS][rows]
+            at = stop
+        return PointCloud(*out)
 
 
 def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
@@ -81,14 +92,16 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
 
     A point is removed when its mean distance to its k nearest neighbors
     exceeds mu + sigma_mult * sigma, where mu and sigma are taken over the
-    whole cloud; TooFewPoints when no point is left. Exact kNN; survivor
-    order preserved.
+    whole cloud; TooFewPoints when no point is left, CoordinateOutOfRange
+    before any kNN work when a coordinate lies beyond MAX_COORDINATE m.
+    Exact kNN; survivor order preserved.
 
-    Given the camera the cloud was back-projected with, a point takes its
-    neighbours from a pixel window when _PixelWindows proves them the k
-    nearest; the kd-tree answers every other point, and every point of a
-    cloud that does not lie one point to a pixel ray. Both give the same
-    distances, so the camera changes no result.
+    The mean distances come from a cascade of neighbour sources, each given
+    the rows the one before it leaves: given the camera the cloud was
+    back-projected with, _PixelWindows' narrow window, then its wide one,
+    then the kd-tree, which settles every row it is given. A cloud that does
+    not lie one point to a pixel ray goes to the tree whole. Every source
+    gives the tree's distances, so the camera changes no result.
     """
     if k < 1:
         raise BadParameter("k must be >= 1")
@@ -96,14 +109,18 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
     if n <= k:
         raise TooFewPoints(f"cloud of size {n} needs more than k={k} points")
     points = cloud.points
-    mean_dists = np.full(n, np.nan)  # nan until a window or the tree settles the point
+    check_coordinates(points, CoordinateOutOfRange)
+    mean_dists = np.empty(n)
+    rows = None  # every row
     windows = None if camera is None else _PixelWindows.build(points, camera, k)
-    left = n if windows is None else windows.settle(points, mean_dists)
+    for window in windows.windows if windows else ():
+        rows = _settle(points, rows, window.rows, windows.scratch,
+                       functools.partial(windows._prove, window), mean_dists)
     # the windows' index image is freed before the tree is built, so the
     # two are never held at once
     del windows
-    if left:
-        _tree_settle(points, k, mean_dists)
+    if rows is None or len(rows):
+        _tree_settle(points, k, rows, mean_dists)
     threshold = mean_dists.mean() + sigma_mult * mean_dists.std()
     keep = mean_dists <= threshold
     del mean_dists  # its memory can hold the survivors
@@ -112,59 +129,81 @@ def statistical_outlier_removal(cloud, k=16, sigma_mult=1.0, camera=None):
             "no point survives: every mean kNN distance exceeds "
             f"mu + sigma_mult * sigma = {threshold:.6g}"
         )
-    return _take_where(cloud, keep)
+    return cloud.take(keep)
 
 
-def _take_where(cloud, keep):
-    """cloud.take(np.flatnonzero(keep)), copied a block of rows at a time:
-    no whole-cloud index array is held next to the survivors."""
-    columns = [a for a in (cloud.points, cloud.provenance) if a is not None]
-    count = int(np.count_nonzero(keep))
-    out = [np.empty((count, a.shape[1]), a.dtype) for a in columns]
-    at = 0
-    for start in range(0, len(keep), _SOR_BLOCK_ROWS):
-        rows = keep[start : start + _SOR_BLOCK_ROWS]
-        stop = at + int(np.count_nonzero(rows))
-        for a, b in zip(columns, out):
-            b[at:stop] = a[start : start + _SOR_BLOCK_ROWS][rows]
-        at = stop
-    return PointCloud(*out)
+def _settle(points, rows, batch_rows, make_scratch, prove, mean_dists):
+    """One source's step of SOR's cascade over points[rows], or over every
+    point, in contiguous slices, when rows is None: prove(batch, scratch)
+    returns which points of the batch it settles and their mean kNN
+    distances, which go into mean_dists. Return the rows it leaves.
+
+    Blocks of _SOR_BLOCK_ROWS rows run on run_striped's threads, so no more
+    threads, each with its own scratch, run than the cloud has blocks; each
+    block goes to prove batch_rows rows at a time. The threads mark the rows
+    left in one mask made here, so they hold no array past their batch.
+    """
+    count = len(points) if rows is None else len(rows)
+    left = np.empty(count, bool)
+
+    def work(scratch, mine):
+        for start in mine:
+            end = min(start + _SOR_BLOCK_ROWS, count)
+            for at in range(start, end, batch_rows):
+                stop = min(at + batch_rows, end)
+                batch = np.arange(at, stop) if rows is None else rows[at:stop]
+                proven, means = prove(points[at:stop] if rows is None else points[batch], scratch)
+                mean_dists[batch[proven]] = means
+                np.logical_not(proven, out=left[at:stop])
+
+    if count:
+        # numpy and the tree query release the GIL, so the blocks run in parallel
+        run_striped(range(0, count, _SOR_BLOCK_ROWS), make_scratch, work)
+    return np.flatnonzero(left) if rows is None else rows[left]
 
 
-def _tree_settle(points, k, mean_dists):
-    """Write the mean kNN distance of each point still nan in mean_dists,
-    from a kd-tree over the whole cloud."""
+def _tree_settle(points, k, rows, mean_dists):
+    """_settle points[rows], every point when rows is None, from a kd-tree
+    over the whole cloud."""
     # imported here: scipy.spatial adds about 0.3 s and 38 MB to a process,
     # and only the points no pixel window settles need it
     from scipy.spatial import cKDTree
 
     # The kNN distances are exact, so the tree's shape, the threads the
-    # query runs on and the blocks it is split into cannot change them; the
+    # query runs on and the batches it is split into cannot change them; the
     # unbalanced, non-compact tree is the quicker one to build.
     tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
-    n = len(points)
 
-    def work(_, starts):
-        for start in starts:
-            rest = start + np.flatnonzero(np.isnan(mean_dists[start : start + _SOR_BLOCK_ROWS]))
-            if len(rest):
-                # k+1 because the query returns each point itself at distance zero
-                dists, _ = tree.query(points[rest], k=k + 1)
-                mean_dists[rest] = dists[:, 1:].mean(axis=1)
+    def prove(block, _):
+        # k+1 because the query returns each point itself at distance zero
+        dists, _ = tree.query(block, k=k + 1)
+        return np.ones(len(block), bool), dists[:, 1:].mean(axis=1)
 
-    # the tree query releases the GIL, so the blocks run in parallel
-    run_striped(range(0, n, _SOR_BLOCK_ROWS), lambda: None, work)
+    _settle(points, rows, _SOR_BLOCK_ROWS, lambda: None, prove, mean_dists)
 
 
 @dataclass
 class _Window:
     """One pixel window of _PixelWindows: the flat offsets of its pixels
-    but the centre in the padded index image, and the bound's s along u
-    and v."""
+    but the centre in the padded index image, the bound's s along u and v,
+    and the points it takes per batch."""
 
     offsets: np.ndarray
     su: float
     sv: float
+    rows: int
+
+    def bound(self, block):
+        """Each point's distance bound to the points outside the window. A
+        square that overflows (a tiny fx) gives 0 or nan, which proves no
+        point; with z <= MAX_COORDINATE, z s overflows only where the
+        square already has, so the bound is never inf."""
+        x, y, z = block.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.minimum(
+                z * self.su / np.sqrt(1 + (np.abs(x / z) + self.su) ** 2),
+                z * self.sv / np.sqrt(1 + (np.abs(y / z) + self.sv) ** 2),
+            )
 
 
 class _PixelWindows:
@@ -180,8 +219,8 @@ class _PixelWindows:
     bounds has its k nearest neighbours in its window, and their distances,
     computed as cKDTree computes them, are the tree's bit for bit.
 
-    Every point tries the narrow window, the smallest with 3k neighbours or
-    more (R = 3 for k = 16); the points it leaves try the wide one, R =
+    windows holds the narrow window, the smallest with 3k neighbours or
+    more (R = 3 for k = 16), then, when it is wider, the wide one, R =
     ceil(k/2), which holds the k nearest of a point on a line of pixels one
     pixel wide, k/2 on each side (R = 8 for k = 16). The wide radius is at
     most _WIDE_RADIUS, k = 16's: a window's cost per point grows with its
@@ -192,26 +231,24 @@ class _PixelWindows:
         self.flat = np.ascontiguousarray(points).reshape(-1)  # x0 y0 z0 x1 ...
         self.camera = camera
         self.k = k
-        self.radius = radii[0]  # the narrow window's
         self.pad = radii[-1]
         self.index = index  # the point on each pixel, -1 on none; padded by the widest radius
         offsets = [self._offsets(r) for r in radii]
-        self.block_rows = min(_SOR_BLOCK_ROWS, max(1, _SOR_WINDOW_VALUES // len(offsets[0])))
-        # the wide window takes as many points at a time as fill the narrow
+        narrow_rows = min(_SOR_BLOCK_ROWS, max(1, _SOR_WINDOW_VALUES // len(offsets[0])))
+        # a wider window takes as many points at a time as fill the narrow
         # one's block of scratch, and at least one
-        self.scratch_values = max(self.block_rows * len(offsets[0]), len(offsets[-1]))
-        self.wide_rows = self.scratch_values // len(offsets[-1])
+        self.scratch_values = max(narrow_rows * len(offsets[0]), len(offsets[-1]))
         # the bound's s for a pixel R+1 away, less the _PIXEL_TOL by which
         # each of the two points may sit off its pixel's centre
-        self.narrow, *wide = (
+        self.windows = [
             _Window(
                 offsets=o,
                 su=(r + 1 - 2 * _PIXEL_TOL) / camera.fx,
                 sv=(r + 1 - 2 * _PIXEL_TOL) / camera.fy,
+                rows=self.scratch_values // len(o),
             )
             for r, o in zip(radii, offsets)
-        )
-        self.wide = wide[0] if wide else None
+        ]
 
     def _offsets(self, radius):
         """Each window pixel but the centre, as flat offsets in the padded image."""
@@ -253,69 +290,9 @@ class _PixelWindows:
             return None
         return windows
 
-    def bound(self, block, window=None):
-        """Each point's distance bound to the points outside its window
-        (the narrow one unless given)."""
-        window = window or self.narrow
-        x, y, z = block.T
-        return np.minimum(
-            z * window.su / np.sqrt(1 + (np.abs(x / z) + window.su) ** 2),
-            z * window.sv / np.sqrt(1 + (np.abs(y / z) + window.sv) ** 2),
-        )
-
     def scratch(self):
-        """One thread's buffers for fill."""
+        """One thread's buffers for _prove."""
         return [np.empty(self.scratch_values, t) for t in (np.intp, np.int32, bool, float, float)]
-
-    def settle(self, points, mean_dists):
-        """Write the mean kNN distance of each point whose narrow or wide
-        window proves its k nearest into mean_dists, on run_striped's
-        threads; return how many points neither settles.
-
-        Each thread fills its blocks with the narrow window and gathers the
-        points that leaves until they fill a batch of the wide window's
-        rows: a block leaves a few dozen, and a call per block would cost
-        more than the window's own work.
-        """
-        n = len(points)
-        left = []
-
-        def work(scratch, starts):
-            pending, count = [], 0
-            for start in starts:
-                stop = min(start + self.block_rows, n)
-                rest = start + self.fill(points[start:stop], mean_dists[start:stop], scratch)
-                if self.wide is None:
-                    left.append(len(rest))
-                    continue
-                pending.append(rest)
-                count += len(rest)
-                if count >= self.wide_rows or start == starts[-1]:
-                    left.append(self._fill_wide(points, np.concatenate(pending), mean_dists, scratch))
-                    pending, count = [], 0
-
-        # numpy releases the GIL, so the blocks run in parallel
-        run_striped(range(0, n, self.block_rows), self.scratch, work)
-        return sum(left)
-
-    def fill(self, block, out, scratch):
-        """Write the mean kNN distance of each point of block whose narrow
-        window proves its k nearest into out; return the others' rows in
-        block."""
-        proven, means = self._prove(self.narrow, block, scratch)
-        out[proven] = means
-        return np.flatnonzero(~proven)
-
-    def _fill_wide(self, points, rows, out, scratch):
-        """fill for points[rows] with the wide window, writing out[rows];
-        return how many of them it leaves."""
-        left = 0
-        for start in range(0, len(rows), self.wide_rows):
-            batch = rows[start : start + self.wide_rows]
-            proven, means = self._prove(self.wide, points[batch], scratch)
-            out[batch[proven]] = means
-            left += len(batch) - len(means)
-        return left
 
     def _prove(self, window, block, scratch):
         """Which points of block the window proves, and their mean kNN
@@ -344,7 +321,7 @@ class _PixelWindows:
             d2 += coord
         np.copyto(d2, np.inf, where=empty)
         d2.partition(k - 1, axis=1)
-        bound = self.bound(block, window) * (1 - _BOUND_MARGIN)
+        bound = window.bound(block) * (1 - _BOUND_MARGIN)
         proven = d2[:, k - 1] <= bound * bound
         nearest = d2[proven, :k]
         nearest.sort(axis=1)

@@ -39,6 +39,10 @@ class TooFewPoints(RebarTieError):
     module = "cloud-filter"
 
 
+class CoordinateOutOfRange(RebarTieError):
+    module = "cloud-filter"
+
+
 class NoConsensus(RebarTieError):
     module = "plane-detect"
 

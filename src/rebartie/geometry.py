@@ -17,6 +17,17 @@ _SIGN_EPS = 1e-12
 
 _ORTHO_TOL = 1e-9
 
+# The largest coordinate, in metres, SOR and RANSAC take: RANSAC's candidate
+# normals hold fourth powers of the coordinates, which overflow past 1e76.
+MAX_COORDINATE = 1e50
+
+
+def check_coordinates(points, error):
+    """Raise error unless every coordinate lies within MAX_COORDINATE m."""
+    # written so that a NaN, which max and min return, fails it too
+    if not -MAX_COORDINATE <= points.min() <= points.max() <= MAX_COORDINATE:
+        raise error(f"a coordinate lies beyond {MAX_COORDINATE:g} m or is NaN")
+
 
 def _vec3(p):
     a = np.asarray(p, dtype=float)

@@ -15,7 +15,7 @@ def select_near_plane(cloud, plane, tau=0.015):
     if tau <= 0:
         raise BadParameter("tau must be positive")
     dist = plane_signed_distance(plane, cloud.points)
-    return cloud.take(np.flatnonzero(np.abs(dist) <= tau))
+    return cloud.take(np.abs(dist) <= tau)
 
 
 def rasterize_mask(selected, width, height, dilation_radius=2):

@@ -12,17 +12,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BadParameter, DegenerateInput, LayersTooClose, NoConsensus, ParseError
-from .geometry import Plane, fit_plane_least_squares, plane_signed_distance
+from .geometry import Plane, check_coordinates, fit_plane_least_squares, plane_signed_distance
 from .textio import read_text
 
 # Points per block when a RANSAC candidate is scored; a power of two, so each
 # row sits at the same place within the BLAS kernel's unrolled loop in its
 # block as in the whole cloud.
 _SCORE_ROWS = 16384
-
-# The largest coordinate, in metres, RANSAC takes: the norm of a candidate's
-# normal holds fourth powers of the coordinates, which overflow past 1e76.
-_MAX_COORDINATE = 1e50
 
 # Triples drawn per batch of candidates; it bounds their memory whatever
 # the iteration count.
@@ -116,9 +112,7 @@ def ransac_dominant_plane(cloud, params):
     n = pts.shape[0]
     if n < 3:
         raise NoConsensus(f"cloud of size {n} cannot support a plane")
-    # written so that a NaN, which max and min return, fails it too
-    if not -_MAX_COORDINATE <= pts.min() <= pts.max() <= _MAX_COORDINATE:
-        raise NoConsensus(f"a coordinate lies beyond {_MAX_COORDINATE:g} m or is NaN")
+    check_coordinates(pts, NoConsensus)
     # scoring blocks end here; a one-row last block joins the one before it,
     # since numpy's product of a single row may round differently
     stops = [*range(_SCORE_ROWS, n - 1, _SCORE_ROWS), n]

@@ -80,6 +80,10 @@ class GridSpec:
     def __post_init__(self):
         if self.rows < 2 or self.cols < 2:
             raise ValueError("rows and cols must be >= 2")
+        if self.rod_radius <= 0:
+            raise ValueError("rod_radius must be positive")
+        if self.noise_sigma < 0:
+            raise ValueError("noise_sigma must be >= 0")
         if self.layer_gap is None:
             self.layer_gap = 2.0 * self.rod_radius
         if min(self.spacing_x, self.spacing_z) <= 2.0 * self.rod_radius:
@@ -326,9 +330,10 @@ def synth_stereo_pair(spec, disparity):
     right = bg[:, _BG_DISPARITY:].copy()
     # ...and scene pixels splat to u - d with the nearest surface winning
     vs, us = np.nonzero(valid)
-    ut = np.floor(us - ds + 0.5).astype(int)
+    # tested as floats: a column beyond int64's range has no integer
+    ut = np.floor(us - ds + 0.5)
     keep = (ut >= 0) & (ut < w)
-    vs, us, ut, ds = vs[keep], us[keep], ut[keep], ds[keep]
+    vs, us, ut, ds = vs[keep], us[keep], ut[keep].astype(int), ds[keep]
     nearest_first = np.argsort(-ds, kind="stable")
     flat = vs[nearest_first] * w + ut[nearest_first]
     _, first = np.unique(flat, return_index=True)

@@ -13,7 +13,7 @@ import pytest
 import rebartie
 from rebartie import cli, pnm, robot, scene
 from rebartie.cli import build_parser, main
-from rebartie.cloud import PointCloud, write_ply
+from rebartie.cloud import PointCloud, statistical_outlier_removal, voxel_downsample, write_ply
 from rebartie.config import PipelineConfig, load_pipeline_config
 from rebartie.errors import INPUT_ERRORS, BadParameter, ParseError
 from rebartie.frames import CalibrationSet, format_calibration, read_tie_points
@@ -339,6 +339,43 @@ class TestErrors:
         assert "Traceback" not in err
         assert not out.exists()
 
+    BEYOND_BOUND = "cloud-filter: CoordinateOutOfRange: a coordinate lies beyond 1e+50 m or is NaN\n"
+
+    def test_huge_baseline_exit_2(self, tmp_path, walkthrough, capsys):
+        # depths near 1e162 m: SOR's squared distances overflowed, and every
+        # mean distance came out nan (was `TooFewPoints: ... = nan`)
+        out = tmp_path / "c.ply"
+        argv = ["cloud", str(walkthrough["bundle"] / "disparity.txt"), "--out", str(out),
+                "--baseline", "1e160"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == self.BEYOND_BOUND
+        assert not out.exists()
+
+    def test_one_tiny_disparity_exit_2(self, tmp_path, walkthrough, capsys):
+        # an isolated pixel the window filter keeps, 4.2e202 m deep
+        disp = read_disparity(walkthrough["bundle"] / "disparity.txt")
+        assert (disp[:16, :16] < 0).all()
+        disp[0, 0] = 1e-200
+        path = tmp_path / "d.txt"
+        write_disparity(path, disp)
+        out = tmp_path / "c.ply"
+        assert main(["cloud", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == self.BEYOND_BOUND
+        assert not out.exists()
+
+    def test_tiny_focal_length_is_the_trees_cloud(self, tmp_path, walkthrough):
+        # x/z reaches 1e302 and the window bound's square overflows; the
+        # bound then proves no point, and the tree settles every one
+        disparity = walkthrough["bundle"] / "disparity.txt"
+        out = tmp_path / "c.ply"
+        assert main(["cloud", str(disparity), "--out", str(out), "--fx", "1e-300"]) == 0
+        cfg = load_pipeline_config(None, {"fx": "1e-300"})
+        disp = window_disparity_filter(read_disparity(disparity), cfg.window, cfg.delta)
+        pc = PointCloud(disparity_to_cloud(cfg.rig(), disp).points)
+        pc = statistical_outlier_removal(pc, cfg.sor_k, cfg.sor_sigma_mult)
+        write_ply(tmp_path / "want.ply", voxel_downsample(pc, cfg.voxel_size))
+        assert out.read_bytes() == (tmp_path / "want.ply").read_bytes()
+
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["planes"])  # missing required args
@@ -380,6 +417,11 @@ class TestErrors:
             ("rows = 3\nspacing_x = nan\n", "line 2: non-finite value for spacing_x: 'nan'"),
             ("layer_gap = inf\n", "line 1: non-finite value for layer_gap: 'inf'"),
             ("grid_pose = 1 0 0 0  0 1 0 0  0 0 1 nan\n", "line 1: non-finite grid_pose"),
+            # a negative radius was numpy's negative-dimensions traceback, a
+            # zero one rendered no rod, and a negative sigma was ignored
+            ("rod_radius = -0.006\n", "line 0: bad scene: rod_radius must be positive"),
+            ("rod_radius = 0\n", "line 0: bad scene: rod_radius must be positive"),
+            ("noise_sigma = -1\n", "line 0: bad scene: noise_sigma must be >= 0"),
         ],
     )
     def test_non_finite_scene_value_exit_1(self, tmp_path, text, error, capsys):

@@ -1,6 +1,8 @@
+import functools
 import os
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from rebartie.cloud import (
     write_ply,
 )
 from rebartie.config import PipelineConfig
-from rebartie.errors import BadParameter, ParseError, TooFewPoints
+from rebartie.errors import BadParameter, CoordinateOutOfRange, ParseError, TooFewPoints
 from rebartie.geometry import CameraModel, StereoRig
 from rebartie.scene import GridSpec, read_grid_spec, render_disparity, synth_stereo_pair
 from rebartie.stereo import block_match_disparity, disparity_to_cloud, window_disparity_filter
@@ -75,6 +77,19 @@ class TestStatisticalOutlierRemoval:
         # mu - 5 sigma lies below every mean distance
         with pytest.raises(TooFewPoints, match="no point survives"):
             statistical_outlier_removal(PointCloud(rng.normal(size=(50, 3))), k=4, sigma_mult=-5.0)
+
+    @pytest.mark.parametrize("bad", [1.0000001e50, -np.inf, np.nan])
+    def test_coordinate_beyond_the_bound_refused_before_any_knn(self, rng, monkeypatch, bad):
+        def unreached(*args):
+            raise AssertionError("kNN work began")
+
+        monkeypatch.setattr(cloudmod._PixelWindows, "build", unreached)
+        monkeypatch.setattr(cloudmod, "_tree_settle", unreached)
+        pts = rng.normal(size=(50, 3))
+        pts[7, 1] = bad
+        camera = CameraModel(100.0, 100.0, 32.0, 24.0, 64, 48)
+        with pytest.raises(CoordinateOutOfRange, match="beyond 1e\\+50 m or is NaN"):
+            statistical_outlier_removal(PointCloud(pts), k=4, camera=camera)
 
     def test_k_zero_is_bad_parameter(self, rng):
         with pytest.raises(BadParameter, match="k must be >= 1"):
@@ -150,7 +165,8 @@ def reference_sor(cloud, k, sigma_mult):
     dists, _ = cKDTree(cloud.points).query(cloud.points, k=k + 1)
     mean_dists = dists[:, 1:].mean(axis=1)
     keep = np.flatnonzero(mean_dists <= mean_dists.mean() + sigma_mult * mean_dists.std())
-    return cloud.take(keep)
+    prov = None if cloud.provenance is None else cloud.provenance[keep]
+    return PointCloud(cloud.points[keep], prov)
 
 
 def reference_voxel(cloud, voxel_size):
@@ -348,13 +364,14 @@ class TestSorQueryBlockEdges:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("blocks", [1, 2])
-    def test_window_pass_matches_reference(self, offset, blocks, tree_rows):
+    def test_window_pass_matches_reference(self, offset, blocks, cascade):
         n = blocks * cloudmod._SOR_BLOCK_ROWS + offset
         camera, disp = jumps_and_holes_map()
-        cloud = grid_cloud(camera, disp).take(np.arange(n))
+        cloud = grid_cloud(camera, disp)
+        cloud = cloud.take(np.arange(len(cloud)) < n)
         out = statistical_outlier_removal(cloud, k=8, sigma_mult=1.0, camera=camera)
         assert 0 < len(out) < n
-        assert 0 < sum(tree_rows) < n
+        assert 0 < n - len(cascade[0]) < n
         assert same_bits(out.points, reference_sor(cloud, 8, 1.0).points)
 
 
@@ -377,19 +394,35 @@ def jumps_and_holes_map(seed=7):
 
 
 @pytest.fixture
-def tree_rows(monkeypatch):
-    """Rows the narrow window leaves in each block of the window pass: the
-    wide window, then the kd-tree, answers them."""
-    rows = []
-    fill = cloudmod._PixelWindows.fill
+def cascade(monkeypatch):
+    """The rows each step of SOR's cascade writes a mean distance for, one
+    array per step in the order they run: the narrow window, the wide one
+    when there is one, then the kd-tree when a row is left. With no window
+    the tree is the only step. n - len(cascade[0]) rows are left to the
+    wide window and the tree."""
+    steps = []
+    settle = cloudmod._settle
 
-    def counted(self, block, out, scratch):
-        rest = fill(self, block, out, scratch)
-        rows.append(len(rest))
-        return rest
+    def recorded(points, rows, batch_rows, make_scratch, prove, mean_dists):
+        written = np.full(len(points), np.nan)
+        left = settle(points, rows, batch_rows, make_scratch, prove, written)
+        settled = np.flatnonzero(~np.isnan(written))
+        mean_dists[settled] = written[settled]
+        steps.append(settled)
+        return left
 
-    monkeypatch.setattr(cloudmod._PixelWindows, "fill", counted)
-    return rows
+    monkeypatch.setattr(cloudmod, "_settle", recorded)
+    return steps
+
+
+def window_step(windows, window, points, rows=None):
+    """One window's step of the cascade alone, over points[rows] (every
+    point when rows is None): the mean distances it writes, nan elsewhere,
+    and the rows it leaves."""
+    means = np.full(len(points), np.nan)
+    prove = functools.partial(windows._prove, window)
+    left = cloudmod._settle(points, rows, window.rows, windows.scratch, prove, means)
+    return means, left
 
 
 def stereo_cloud(spec):
@@ -410,14 +443,14 @@ def default_stereo():
 class TestSorPixelWindows:
     """The window pass gives the kd-tree's survivors bit for bit."""
 
-    def test_rendered_default_scene(self, tree_rows):
+    def test_rendered_default_scene(self, cascade):
         cfg = PipelineConfig()
         cloud = grid_cloud(cfg.camera(), render_disparity(GridSpec(), cfg.rig()))
         out = statistical_outlier_removal(cloud, camera=cfg.camera())
         ref = reference_sor(cloud, 16, 1.0)
         assert same_bits(out.points, ref.points)
         assert np.array_equal(out.provenance, ref.provenance)
-        assert sum(tree_rows) < 0.05 * len(cloud)
+        assert len(cloud) - len(cascade[0]) < 0.05 * len(cloud)
 
     @pytest.mark.parametrize("scene", ["jumps", "rendered"])
     def test_window_means_are_the_trees_bit_for_bit(self, scene):
@@ -429,11 +462,7 @@ class TestSorPixelWindows:
             camera, disp = cfg.camera(), render_disparity(GridSpec(), cfg.rig())
         points = grid_cloud(camera, disp).points
         windows = cloudmod._PixelWindows.build(points, camera, 16)
-        means = np.full(len(points), np.nan)
-        scratch = windows.scratch()
-        for start in range(0, len(points), cloudmod._SOR_BLOCK_ROWS):
-            stop = start + cloudmod._SOR_BLOCK_ROWS
-            windows.fill(points[start:stop], means[start:stop], scratch)
+        means, _ = window_step(windows, windows.windows[0], points)
         proven = np.flatnonzero(~np.isnan(means))
         assert len(proven) > 0.8 * len(points)
         dists, _ = cKDTree(points).query(points[proven], k=17)
@@ -448,51 +477,62 @@ class TestSorPixelWindows:
         out = statistical_outlier_removal(cloud, camera=camera)
         assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
 
-    def test_default_stereo_tree_answers_under_5_percent(self, default_stereo, tree_rows):
+    def test_default_stereo_tree_answers_under_5_percent(self, default_stereo, cascade):
         # about 0.9%: a bound too weak to prove most windows would pass the
         # bit tests on the tree's answers alone
         cloud, camera = default_stereo
         statistical_outlier_removal(cloud, camera=camera)
-        assert len(tree_rows) > 0
-        assert sum(tree_rows) < 0.05 * len(cloud)
+        assert len(cascade) > 1
+        assert len(cloud) - len(cascade[0]) < 0.05 * len(cloud)
 
     @pytest.mark.parametrize("k", [1, 16, 60])  # 60 needs R = 7, not 3
     @pytest.mark.parametrize("sigma_mult", [1.0, -0.5])
-    def test_depth_jumps_holes_and_borders(self, k, sigma_mult, tree_rows):
+    def test_depth_jumps_holes_and_borders(self, k, sigma_mult, cascade):
         camera, disp = jumps_and_holes_map()
         cloud = grid_cloud(camera, disp)
         out = statistical_outlier_removal(cloud, k=k, sigma_mult=sigma_mult, camera=camera)
         ref = reference_sor(cloud, k, sigma_mult)
         assert same_bits(out.points, ref.points)
         assert np.array_equal(out.provenance, ref.provenance)
-        assert 0 < sum(tree_rows) < len(cloud)
+        assert 0 < len(cloud) - len(cascade[0]) < len(cloud)
+
+    @pytest.mark.parametrize("k, steps", [(1, 2), (16, 3), (60, 3)])
+    def test_each_row_settled_exactly_once(self, k, steps, cascade):
+        # k = 1 has no wide window: ceil(k/2) is the narrow radius, 1
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        out = statistical_outlier_removal(cloud, k=k, camera=camera)
+        assert same_bits(out.points, reference_sor(cloud, k, 1.0).points)
+        assert len(cascade) == steps and all(len(rows) for rows in cascade)
+        assert sum(len(rows) for rows in cascade) == len(cloud)
+        assert np.array_equal(np.sort(np.concatenate(cascade)), np.arange(len(cloud)))
 
     @pytest.mark.parametrize("k", [1, 16])
-    def test_sparse_random_pixels(self, rng, k, tree_rows):
+    def test_sparse_random_pixels(self, rng, k, cascade):
         camera = CameraModel(100.0, 90.0, 60.0, 40.0, 120, 80)
         disp = np.where(rng.random((80, 120)) < 0.03, rng.uniform(1.0, 30.0, (80, 120)), -1.0)
         cloud = grid_cloud(camera, disp)
         out = statistical_outlier_removal(cloud, k=k, camera=camera)
         assert same_bits(out.points, reference_sor(cloud, k, 1.0).points)
-        assert sum(tree_rows) > len(cloud) // 2  # most windows are too empty to prove
+        assert len(cloud) - len(cascade[0]) > len(cloud) // 2  # most windows are too empty to prove
 
-    def test_cloud_off_its_pixel_rays_takes_the_tree(self, tree_rows):
+    def test_cloud_off_its_pixel_rays_takes_the_tree(self, cascade):
         camera, disp = jumps_and_holes_map()
         cloud = grid_cloud(camera, disp)
         cloud.points[5, 0] += 1e-4 * cloud.points[5, 2] / camera.fx  # 1e-4 px off
         assert cloudmod._PixelWindows.build(cloud.points, camera, 16) is None
         out = statistical_outlier_removal(cloud, camera=camera)
         assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
-        assert tree_rows == []
+        assert len(cascade) == 1 and len(cascade[0]) == len(cloud)
 
-    def test_two_points_on_one_pixel_take_the_tree(self, tree_rows):
+    def test_two_points_on_one_pixel_take_the_tree(self, cascade):
         camera, disp = jumps_and_holes_map()
         cloud = grid_cloud(camera, disp)
         cloud = PointCloud(np.vstack([cloud.points, 1.5 * cloud.points[:1]]))  # pixel 0's ray
         assert cloudmod._PixelWindows.build(cloud.points, camera, 16) is None
         out = statistical_outlier_removal(cloud, camera=camera)
         assert same_bits(out.points, reference_sor(cloud, 16, 1.0).points)
-        assert tree_rows == []
+        assert len(cascade) == 1 and len(cascade[0]) == len(cloud)
 
     def test_point_outside_the_frame_takes_the_tree(self):
         camera, disp = jumps_and_holes_map()
@@ -507,7 +547,7 @@ class TestSorPixelWindows:
         # the threads write disjoint rows of one mean-distance array; a short
         # switch interval interleaves them as often as it can
         cloud, camera = default_stereo
-        cloud = cloud.take(np.arange(100_000))
+        cloud = cloud.take(np.arange(len(cloud)) < 100_000)
         default = statistical_outlier_removal(cloud, camera=camera)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(threads)))
         interval = sys.getswitchinterval()
@@ -537,37 +577,30 @@ class TestSorWideWindow:
     def test_narrow_window_proves_none_and_the_wide_one_most(self):
         points = self.strips()
         windows = cloudmod._PixelWindows.build(points, self.camera, 16)
-        assert windows.wide is not None
-        means = np.full(len(points), np.nan)
-        assert len(windows.fill(points, means, windows.scratch())) == len(points)
-        left = windows.settle(points, means)
+        assert len(windows.windows) == 2
+        narrow, wide = windows.windows
+        _, left = window_step(windows, narrow, points)
+        assert len(left) == len(points)
+        means, left = window_step(windows, wide, points, left)
         settled = np.flatnonzero(~np.isnan(means))
-        assert left == len(points) - len(settled)
+        assert len(left) == len(points) - len(settled)
         assert len(settled) > 0.6 * len(points)
         dists, _ = cKDTree(points).query(points[settled], k=17)
         assert same_bits(means[settled], dists[:, 1:].mean(axis=1))
 
     @pytest.mark.parametrize("sigma_mult", [1.0, -0.5])
-    def test_survivors_are_the_trees(self, sigma_mult, monkeypatch):
+    def test_survivors_are_the_trees(self, sigma_mult, cascade):
         # the strips' ends and the far strip's gap under the near one are
-        # left to the tree
-        asked = []
-        tree_settle = cloudmod._tree_settle
-
-        def counted(points, k, mean_dists):
-            asked.append(int(np.isnan(mean_dists).sum()))
-            tree_settle(points, k, mean_dists)
-
-        monkeypatch.setattr(cloudmod, "_tree_settle", counted)
+        # left to the tree, the third step
         cloud = PointCloud(self.strips())
         out = statistical_outlier_removal(cloud, 16, sigma_mult, self.camera)
         assert same_bits(out.points, reference_sor(cloud, 16, sigma_mult).points)
-        assert len(asked) == 1 and 0 < asked[0] < 0.4 * len(cloud)
+        assert len(cascade) == 3 and 0 < len(cascade[2]) < 0.4 * len(cloud)
 
     @pytest.mark.parametrize("block_rows", [7, 64])
     def test_wide_batches_do_not_change_survivors(self, monkeypatch, block_rows):
-        # narrow blocks of a few points: each thread's wide batch gathers
-        # the points of many blocks, and flushes a partial one at its end
+        # narrow batches of a few points, and wide batches of one: each
+        # block of the cloud, or of the rows left, goes to many batches
         monkeypatch.setattr(cloudmod, "_SOR_WINDOW_VALUES", 48 * block_rows)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         camera, disp = jumps_and_holes_map()
@@ -600,7 +633,7 @@ class TestSorWideWindow:
         far = (x[2] + t) * np.array([a2, 0.0, 1.0])
         pts = np.array([x, far])
         windows = cloudmod._PixelWindows.build(pts, camera, 16)
-        bound = windows.bound(pts[:1], windows.wide)[0]
+        bound = windows.windows[1].bound(pts[:1])[0]
         assert bound <= np.linalg.norm(far - x) <= bound * (1 + 1e-5)
 
     @pytest.mark.parametrize("k, radii", [(1, [1]), (4, [2]), (5, [2, 3]), (16, [3, 8]),
@@ -608,7 +641,7 @@ class TestSorWideWindow:
     def test_window_radii(self, k, radii):
         camera, disp = jumps_and_holes_map()
         windows = cloudmod._PixelWindows.build(grid_cloud(camera, disp).points, camera, k)
-        sides = [int(np.sqrt(len(w.offsets) + 1)) for w in (windows.narrow, windows.wide) if w]
+        sides = [int(np.sqrt(len(w.offsets) + 1)) for w in windows.windows]
         assert sides == [2 * r + 1 for r in radii]
 
 
@@ -635,28 +668,27 @@ class TestWindowBound:
 
     def windows(self, points):
         windows = cloudmod._PixelWindows.build(points, self.camera, 1)
-        assert windows is not None and windows.radius == 1
+        assert windows is not None and len(windows.windows) == 1 and windows.pad == 1
         return windows
 
     def test_bound_is_the_nearest_outside_distance(self):
         far = self.nearest_outside()
         pts = np.array([self.x, far])
-        bound = self.windows(pts).bound(pts[:1])[0]
+        bound = self.windows(pts).windows[0].bound(pts[:1])[0]
         dist = np.linalg.norm(far - self.x)
         assert bound <= dist <= bound * (1 + 1e-5)
 
     def fill_x(self, rho):
         pts = np.array([self.x, self.at_distance(rho), self.nearest_outside()])
         windows = self.windows(pts)
-        out = np.full(1, np.nan)
-        rest = windows.fill(pts[:1], out, windows.scratch())
+        means, rest = window_step(windows, windows.windows[0], pts, np.array([0]))
         cloud = PointCloud(pts)
         out_sor = statistical_outlier_removal(cloud, k=1, camera=self.camera)
         assert same_bits(out_sor.points, reference_sor(cloud, 1, 1.0).points)
-        return rest, out[0], np.linalg.norm(pts[1] - pts[0])
+        return rest, means[0], np.linalg.norm(pts[1] - pts[0])
 
     def test_neighbour_inside_the_bound_is_proven(self):
-        bound = self.windows(np.array([self.x])).bound(self.x[None])[0]
+        bound = self.windows(np.array([self.x])).windows[0].bound(self.x[None])[0]
         rest, mean, rho = self.fill_x(bound * (1 - 1e-6))
         assert len(rest) == 0
         assert mean == pytest.approx(rho, rel=1e-15)
@@ -711,6 +743,27 @@ class TestPeakAllocation:
         assert same_bits(statistical_outlier_removal(cloud, 16, -1.0, camera).points, want.points)
         scratch = cloudmod._SOR_BLOCK_ROWS * 48 * (8 + 4 + 1 + 8 + 8)
         assert peak_bytes(statistical_outlier_removal, cloud, 16, -1.0, camera) < 2 * 1.5 * scratch
+
+    def test_index_image_freed_before_the_tree_is_built(self, monkeypatch):
+        # the image and the tree are never held at once
+        camera, disp = jumps_and_holes_map()
+        cloud = grid_cloud(camera, disp)
+        built, alive = [], []
+        build, tree_settle = cloudmod._PixelWindows.build, cloudmod._tree_settle
+
+        def tracked_build(*args):
+            windows = build(*args)
+            built.append(weakref.ref(windows))
+            return windows
+
+        def checked_tree_settle(*args):
+            alive.extend(ref() is not None for ref in built)
+            tree_settle(*args)
+
+        monkeypatch.setattr(cloudmod._PixelWindows, "build", tracked_build)
+        monkeypatch.setattr(cloudmod, "_tree_settle", checked_tree_settle)
+        statistical_outlier_removal(cloud, camera=camera)
+        assert alive == [False]
 
     @pytest.mark.parametrize("k", [1, 16, 60, 200])
     def test_window_scratch_stays_at_its_k_16_size(self, k):

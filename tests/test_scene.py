@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -121,9 +123,9 @@ def reference_stereo_pair(spec, disparity):
     right = bg[:, _BG_DISPARITY:].astype(np.uint8).copy()
     vs, us = np.nonzero(valid)
     ds = disparity[vs, us]
-    ut = np.floor(us - ds + 0.5).astype(int)
+    ut = np.floor(us - ds + 0.5)
     keep = (ut >= 0) & (ut < w)
-    vs, us, ut, ds = vs[keep], us[keep], ut[keep], ds[keep]
+    vs, us, ut, ds = vs[keep], us[keep], ut[keep].astype(int), ds[keep]
     nearest_first = np.argsort(-ds, kind="stable")
     flat = vs[nearest_first] * w + ut[nearest_first]
     _, first = np.unique(flat, return_index=True)
@@ -327,6 +329,15 @@ class TestStereoPairMatchesReference:
 
     def test_grid_partly_outside_image(self):
         self.assert_identical(partly_off_image_spec(), RIG)
+
+    def test_disparities_beyond_int64(self):
+        # a 1e300 m baseline puts every column u - d far below -2**63, where
+        # a cast to int64 is undefined and numpy warns
+        rig = StereoRig(HALF_RIG.camera, 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            disp = self.assert_identical(GridSpec(), rig)
+        assert disp.max() > 2.0**63
 
     def test_no_rod_pixels(self):
         pose = GridSpec().grid_pose
