@@ -1,9 +1,10 @@
 """Batch orchestrator: every pipeline stage as a subcommand.
 
-Exit codes: 0 success, 1 input error (bad arguments, unreadable or
-malformed files), 2 pipeline error (no plane consensus, layers too close,
-and friends). Error messages are prefixed with the owning stage, or, for an
-input error, with the subcommand that read the bad input.
+Exit codes: 0 success, 1 input error (bad arguments, malformed files, or
+any OSError: a file that cannot be read or written, a port in use), 2
+pipeline error (no plane consensus, layers too close, and friends). Every
+error prints one line, `<subcommand>: <ErrorType>: <message>`, naming the
+subcommand that hit it.
 """
 
 import argparse
@@ -141,12 +142,7 @@ def _cmd_tie(args):
     cfg = _config_from_args(args)
     ties = framesmod.read_tie_points(args.ties)
     host, _, port_text = args.server.partition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        port = 0
-    if not 0 < port < 65536:
-        raise ParseError(0, "server must be host:port with a port in 1-65535")
+    port = _port(port_text, 1, "server must be host:port with a port in 1-65535")
     client = robot.RobotClient(host, port)
     try:
         report = robot.execute_sequence(ties, client, policy=cfg.tie_policy)
@@ -166,6 +162,18 @@ def _cmd_tie(args):
     return 0
 
 
+def _port(text, lowest, message):
+    """text as a TCP port in lowest..65535; anything else is a ParseError
+    with message, raised before any socket exists."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not lowest <= port <= 65535:
+        raise ParseError(0, message)
+    return port
+
+
 def _write_report(path, report):
     with open(path, "w") as f:
         for o in report.outcomes:
@@ -181,14 +189,15 @@ def _write_report(path, report):
 
 def _cmd_sim_robot(args):
     cfg = _config_from_args(args)
+    port = _port(args.port, 0, "port must be in 0-65535, 0 for any free port")
     sim = robot.SimRobotConfig(
         workspace_center=(cfg.sim_center_x, cfg.sim_center_y, cfg.sim_center_z),
         workspace_radius=cfg.sim_radius,
         tie_failure_rate=cfg.sim_failure_rate,
         seed=cfg.sim_seed,
     )
-    server = robot.SimRobotServer(sim, port=args.port, log_path=args.log_file)
-    print(f"sim-robot: listening on port {args.port}, serving until QUIT")
+    server = robot.SimRobotServer(sim, port=port, log_path=args.log_file)
+    print(f"sim-robot: listening on port {server.port}, serving until QUIT")
     server.serve_forever()
     return 0
 
@@ -322,15 +331,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except INPUT_ERRORS as e:
+    except (RebarTieError, OSError) as e:
         print(f"{args.command}: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
-    except (FileNotFoundError, IsADirectoryError) as e:
-        print(f"input: {e}", file=sys.stderr)
-        return 1
-    except RebarTieError as e:
-        print(f"{e.module}: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(e, (*INPUT_ERRORS, OSError)) else 2
 
 
 if __name__ == "__main__":

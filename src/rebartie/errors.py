@@ -1,66 +1,60 @@
 """Exception types shared across the pipeline.
 
-Each class carries a ``module`` label naming the pipeline stage that owns the
-failure; the CLI uses it to prefix error messages. Input errors
-(``INPUT_ERRORS``) are prefixed instead with the subcommand that read the
-input, since the same file formats feed several stages.
+A class names what went wrong, not where: the CLI prefixes every message
+with the subcommand that raised it, and maps ``INPUT_ERRORS`` to exit code 1.
 """
 
 
 class RebarTieError(Exception):
     """Base class for all pipeline errors."""
 
-    module = "pipeline"
-
 
 class DegenerateInput(RebarTieError):
     """Input has no unique solution (collinear points, constant data, ...)."""
 
-    module = "geometry-core"
-
 
 class FrameMismatch(RebarTieError):
-    module = "geometry-core"
+    pass
 
 
 class BehindCamera(RebarTieError):
-    module = "geometry-core"
+    pass
 
 
 class SizeMismatch(RebarTieError):
-    module = "stereo"
+    pass
 
 
 class NonPositiveDisparity(RebarTieError):
-    module = "stereo"
+    pass
 
 
 class TooFewPoints(RebarTieError):
-    module = "cloud-filter"
+    pass
 
 
 class CoordinateOutOfRange(RebarTieError):
-    module = "cloud-filter"
+    pass
 
 
 class NoConsensus(RebarTieError):
-    module = "plane-detect"
+    pass
 
 
 class LayersTooClose(RebarTieError):
-    module = "plane-detect"
+    pass
 
 
 class MissingProvenance(RebarTieError):
-    module = "mask-gen"
+    pass
 
 
 class RayParallel(RebarTieError):
-    module = "node-locate"
+    pass
 
 
 class NegativeDepth(RebarTieError):
-    module = "node-locate"
+    pass
 
 
 class ParseError(RebarTieError):
@@ -76,17 +70,15 @@ class BadParameter(RebarTieError, ValueError):
 
 
 class BadCalibration(RebarTieError):
-    module = "frames"
+    pass
 
 
 class ProtocolError(RebarTieError):
-    module = "robot-link"
+    pass
 
 
 class ConnectionLost(RebarTieError):
     """Connection dropped mid-sequence; ``report`` holds the partial result."""
-
-    module = "robot-link"
 
     def __init__(self, message, report=None):
         super().__init__(message)
@@ -94,13 +86,13 @@ class ConnectionLost(RebarTieError):
 
 
 class NoAttempts(RebarTieError):
-    module = "metrics"
+    pass
 
 
 class NoMatches(RebarTieError):
-    module = "metrics"
+    pass
 
 
 # Errors that indicate bad user input rather than a pipeline-stage failure;
-# the CLI maps these to exit code 1, everything else to 2.
+# the CLI maps these, and any OSError, to exit code 1, everything else to 2.
 INPUT_ERRORS = (ParseError, BadParameter, BadCalibration)

@@ -188,12 +188,18 @@ def detect_parallel_planes(cloud, params):
     The dominant RANSAC plane fixes the shared normal; every point's offset
     along it is split into two layers whose offsets are refit as the mean
     offset (least squares under the fixed normal). Raises LayersTooClose
-    when the layer offsets are within twice the inlier threshold.
+    when the layer offsets are within twice the inlier threshold, as they
+    are, at a zero gap, when every point lies on one plane.
     """
     plane, _ = ransac_dominant_plane(cloud, params)
     normal = plane.normal
     offsets = cloud.points @ normal
-    (low, high), (mean_low, mean_high) = kmeans_split_offsets(offsets)
+    if np.all(offsets == offsets[0]):
+        # one plane holds every point: both layers are it, a zero gap
+        low = high = np.arange(offsets.size)
+        mean_low = mean_high = float(offsets[0])
+    else:
+        (low, high), (mean_low, mean_high) = kmeans_split_offsets(offsets)
     z_low = cloud.points[low, 2].mean()
     z_high = cloud.points[high, 2].mean()
     if z_low <= z_high:

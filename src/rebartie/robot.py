@@ -230,9 +230,13 @@ class SimRobotServer:
         self._log_file = None
         self._stopped = threading.Event()
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.listener.bind((host, port))
-        self.listener.listen(8)
+        try:
+            self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.listener.bind((host, port))
+            self.listener.listen(8)
+        except BaseException:
+            self.listener.close()  # a port in use or out of range leaks no socket
+            raise
         # accept with a timeout so stop() is observed promptly; a plain
         # close() does not wake a blocked accept on Linux. Set here, not in
         # serve_forever, where stop() may already have closed the listener.

@@ -1,6 +1,7 @@
 import argparse
 import os
 import random
+import re
 import socket
 import subprocess
 import sys
@@ -218,7 +219,7 @@ class TestErrors:
         write_ply(ply, PointCloud(pts))
         rc = main(["planes", str(ply), "--out", str(tmp_path / "p.txt")])
         assert rc == 2
-        assert "plane-detect: LayersTooClose" in capsys.readouterr().err
+        assert "planes: LayersTooClose" in capsys.readouterr().err
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         rc = main(["planes", str(tmp_path / "absent.ply"), "--out", str(tmp_path / "p.txt")])
@@ -251,7 +252,7 @@ class TestErrors:
     def test_directory_as_input_exit_1(self, tmp_path, capsys):
         rc = main(["planes", str(tmp_path), "--out", str(tmp_path / "p.txt")])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("input: ")
+        assert capsys.readouterr().err.startswith("planes: IsADirectoryError: ")
 
     def test_negative_vertex_count_exit_1(self, tmp_path, capsys):
         ply = tmp_path / "bad.ply"
@@ -324,7 +325,7 @@ class TestErrors:
                 "--sor-k", "2"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err == "cloud-filter: TooFewPoints: cloud of size 0 needs more than k=2 points\n"
+        assert err == "cloud: TooFewPoints: cloud of size 0 needs more than k=2 points\n"
         assert not (tmp_path / "c.ply").exists()
 
     def test_sor_keeping_no_point_exit_2(self, tmp_path, walkthrough, capsys):
@@ -335,11 +336,11 @@ class TestErrors:
                 "--sor-sigma-mult", "-5"]
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("cloud-filter: TooFewPoints: no point survives: every mean kNN distance")
+        assert err.startswith("cloud: TooFewPoints: no point survives: every mean kNN distance")
         assert "Traceback" not in err
         assert not out.exists()
 
-    BEYOND_BOUND = "cloud-filter: CoordinateOutOfRange: a coordinate lies beyond 1e+50 m or is NaN\n"
+    BEYOND_BOUND = "cloud: CoordinateOutOfRange: a coordinate lies beyond 1e+50 m or is NaN\n"
 
     def test_huge_baseline_exit_2(self, tmp_path, walkthrough, capsys):
         # depths near 1e162 m: SOR's squared distances overflowed, and every
@@ -456,7 +457,7 @@ class TestErrors:
         ])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith(f"robot-link: ConnectionLost: cannot connect to 127.0.0.1:{port}")
+        assert err.startswith(f"tie: ConnectionLost: cannot connect to 127.0.0.1:{port}")
         assert "Traceback" not in err
         assert not (tmp_path / "r.txt").exists()
 
@@ -770,6 +771,96 @@ def test_bad_input_file_exit_1(tmp_path, walkthrough, command, key, text, error,
     assert list(out.iterdir()) == []
 
 
+def _names_its_subcommand(err, command):
+    """err ends in `<command>: <ErrorType>: ...` and holds no traceback."""
+    last = err.splitlines()[-1] if err else ""
+    return re.match(rf"{re.escape(command)}: [A-Za-z]+: ", last) is not None and "Traceback" not in err
+
+
+def _failing_argv(case, tmp_path, files, port_in_use):
+    """The argv of one failing run of the failure matrix, with the inputs it
+    reads written to tmp_path."""
+    rng = np.random.default_rng(0)
+    flat = rng.uniform(-0.3, 0.3, (500, 3))
+    flat[:, 2] = 1.0  # every point on z = 1: offsets along its normal all equal
+    write_ply(tmp_path / "flat.ply", PointCloud(flat))
+    pnm.write_ppm(tmp_path / "small.ppm", np.zeros((10, 10, 3), dtype=np.uint8))
+    write_disparity(tmp_path / "small.txt", np.full((2, 3), 5.0))
+    (tmp_path / "behind.txt").write_text("grid_pose = 1 0 0 0  0 1 0 0  0 0 1 -1.2\n")
+    (tmp_path / "file").write_text("")
+    under = tmp_path / "file" / "x"  # its parent is a regular file
+    return {
+        "cloud-out-under-a-file": ["cloud", files["bundle"] / "disparity.txt", "--out", under],
+        "synth-out-under-a-file": ["synth", "--out", under],
+        "planes-input-under-a-file": ["planes", under, "--out", tmp_path / "p.txt"],
+        "synth-out-is-a-file": ["synth", "--out", under.parent],
+        "sim-robot-port-in-use": ["sim-robot", "--port", port_in_use],
+        "sim-robot-port-70000": ["sim-robot", "--port", "70000"],
+        "sim-robot-port-minus-1": ["sim-robot", "--port", "-1"],
+        "mask-wrong-size-image": [
+            "mask", files["cloud"], files["planes"], tmp_path / "small.ppm",
+            "--mask-out", tmp_path / "m.pgm", "--filtered-out", tmp_path / "f.ppm",
+        ],
+        "nodes-wrong-size-disparity": [
+            "nodes", files["bundle"] / "labels.txt", files["calib"], "--out", tmp_path / "t.txt",
+            "--disparity", tmp_path / "small.txt",
+        ],
+        "synth-behind-camera": ["synth", tmp_path / "behind.txt", "--out", tmp_path / "b"],
+        "planes-flat-cloud": ["planes", tmp_path / "flat.ply", "--out", tmp_path / "p.txt"],
+    }[case]
+
+
+# One failing run per row: (id, the exit code, the error type).
+FAILURES = [
+    ("cloud-out-under-a-file", 1, "NotADirectoryError"),
+    ("synth-out-under-a-file", 1, "NotADirectoryError"),
+    ("planes-input-under-a-file", 1, "NotADirectoryError"),
+    ("synth-out-is-a-file", 1, "FileExistsError"),
+    ("sim-robot-port-in-use", 1, "OSError"),
+    ("sim-robot-port-70000", 1, "ParseError"),
+    ("sim-robot-port-minus-1", 1, "ParseError"),
+    ("mask-wrong-size-image", 2, "SizeMismatch"),
+    ("nodes-wrong-size-disparity", 2, "SizeMismatch"),
+    ("synth-behind-camera", 2, "BehindCamera"),
+    ("planes-flat-cloud", 2, "LayersTooClose"),
+]
+
+
+class TestFailureMatrix:
+    """A failing run prints one line, `<subcommand>: <ErrorType>: ...`, and
+    exits 1 for an input or OS error, 2 for a pipeline error."""
+
+    @pytest.mark.parametrize("case, code, error", FAILURES, ids=[r[0] for r in FAILURES])
+    def test_names_the_subcommand(self, tmp_path, walkthrough, monkeypatch, case, code, error, capsys):
+        def serve_forever(server):
+            raise AssertionError(f"sim-robot served on port {server.port}")
+
+        monkeypatch.setattr(robot.SimRobotServer, "serve_forever", serve_forever)
+        with socket.socket() as probe:  # a port that a socket listens on
+            probe.bind(("127.0.0.1", 0))
+            probe.listen(1)
+            argv = _failing_argv(case, tmp_path, walkthrough, probe.getsockname()[1])
+            rc = main([str(a) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.splitlines()[-1].startswith(f"{argv[0]}: {error}: ")
+        assert _names_its_subcommand(err, argv[0])
+
+    def test_sim_robot_prints_the_port_it_bound(self, monkeypatch, capsys):
+        bound = []
+
+        def serve_stopped(server):  # serve_forever returns at once
+            bound.append(server.port)
+            server.stop()
+            serve(server)
+
+        serve = robot.SimRobotServer.serve_forever
+        monkeypatch.setattr(robot.SimRobotServer, "serve_forever", serve_stopped)
+        assert main(["sim-robot", "--port", "0"]) == 0
+        assert bound[0] != 0
+        assert capsys.readouterr().out == f"sim-robot: listening on port {bound[0]}, serving until QUIT\n"
+
+
 # The byte a mutant puts in, half the time: bytes that numbers, separators
 # and keys are made of, and bytes that are not UTF-8. Otherwise any byte.
 MUTATION_BYTES = b"0123456789-+.eEn \t\r\n#=\x00\x80\xc3\xff"
@@ -842,7 +933,8 @@ MUTATION_FORMATS = ["pgm", "ppm", "disparity", "binary-ply", "ascii-ply", "plane
 @pytest.mark.parametrize("fmt", MUTATION_FORMATS)
 def test_mutated_input_ends_in_an_exit_code(tmp_path, fmt, capsys):
     # Seeded one-byte mutants of a valid file, each read by the subcommand
-    # that reads the format: main returns 0, 1 or 2 and raises nothing.
+    # that reads the format: main returns 0, 1 or 2 and raises nothing, and
+    # a failing run ends in the one error line that names the subcommand.
     name, argv = _mutation_inputs(tmp_path)[fmt]
     path = tmp_path / name
     original = path.read_bytes()
@@ -857,6 +949,7 @@ def test_mutated_input_ends_in_an_exit_code(tmp_path, fmt, capsys):
         return main([str(a) for a in argv])
 
     assert run() == 0  # the unmutated file
+    capsys.readouterr()
     faults = []
     for mutant in _mutants(original, random.Random(fmt)):
         path.write_bytes(mutant)
@@ -864,10 +957,12 @@ def test_mutated_input_ends_in_an_exit_code(tmp_path, fmt, capsys):
             rc = run()
         except Exception as e:
             faults.append((mutant, repr(e)))
-        else:
-            if rc not in (0, 1, 2):
-                faults.append((mutant, rc))
-    capsys.readouterr()
+            continue
+        err = capsys.readouterr().err
+        if rc not in (0, 1, 2):
+            faults.append((mutant, rc))
+        elif rc and argv is not None and not _names_its_subcommand(err, argv[0]):
+            faults.append((mutant, err))
     assert faults == []
 
 

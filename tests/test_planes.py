@@ -388,6 +388,14 @@ class TestDetectParallelPlanes:
         with pytest.raises(LayersTooClose):
             detect_parallel_planes(PointCloud(pts), RansacParams(seed=6))
 
+    def test_exactly_flat_cloud_raises_layers_too_close(self, rng):
+        # every offset along the normal is equal: a zero gap, not the
+        # clustering's DegenerateInput
+        pts = rng.uniform(-0.5, 0.5, (600, 3))
+        pts[:, 2] = 2.0
+        with pytest.raises(LayersTooClose, match="layer offsets 2.0000 and 2.0000"):
+            detect_parallel_planes(PointCloud(pts), RansacParams(seed=6))
+
     def test_normals_bitwise_shared(self, rng):
         cloud = two_layer_cloud(rng, 300, noise=0.001)
         pair = detect_parallel_planes(cloud, RansacParams(seed=8))

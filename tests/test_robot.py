@@ -1,3 +1,4 @@
+import socket
 import threading
 
 import numpy as np
@@ -141,6 +142,26 @@ class TestSimServerStateMachine:
         assert crashes == []
         assert len(logs) == 200
         assert all(f.closed for f in logs)
+
+    @pytest.mark.parametrize("port", ["in-use", 70000, -1])
+    def test_failed_bind_closes_its_socket(self, monkeypatch, port):
+        made = []
+        make = socket.socket
+
+        def tracking_socket(*args, **kwargs):
+            made.append(make(*args, **kwargs))
+            return made[-1]
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            probe.listen(1)
+            if port == "in-use":
+                port = probe.getsockname()[1]
+            monkeypatch.setattr(socket, "socket", tracking_socket)
+            with pytest.raises((OSError, OverflowError)):
+                SimRobotServer(SimRobotConfig(), port=port)
+        assert len(made) == 1
+        assert made[0].fileno() == -1  # closed
 
 
 class TestExecuteSequence:
