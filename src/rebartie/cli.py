@@ -20,7 +20,7 @@ from . import frames as framesmod
 from . import masking, metrics, nodes, pnm, robot, scene, stereo
 from . import planes as planesmod
 from .config import CAMERA_KEYS, RIG_KEYS, PipelineConfig, load_pipeline_config
-from .errors import INPUT_ERRORS, ParseError, RebarTieError
+from .errors import INPUT_ERRORS, ConnectionLost, ParseError, RebarTieError
 from .textio import read_text
 
 
@@ -42,8 +42,7 @@ def _config_from_args(args):
     return load_pipeline_config(args.config, overrides)
 
 
-def _cmd_disparity(args):
-    cfg = _config_from_args(args)
+def _cmd_disparity(args, cfg):
     left = pnm.read_pgm(args.left)
     right = pnm.read_pgm(args.right)
     disp = stereo.block_match_disparity(
@@ -59,8 +58,7 @@ def _cmd_disparity(args):
     return 0
 
 
-def _cmd_cloud(args):
-    cfg = _config_from_args(args)
+def _cmd_cloud(args, cfg):
     disp = stereo.read_disparity(args.disparity)
     disp = stereo.window_disparity_filter(disp, cfg.window, cfg.delta)
     # cloud.ply has no place for provenance: drop it, and the map, before SOR
@@ -73,8 +71,7 @@ def _cmd_cloud(args):
     return 0
 
 
-def _cmd_planes(args):
-    cfg = _config_from_args(args)
+def _cmd_planes(args, cfg):
     pc = cloudmod.read_ply(args.cloud)
     params = planesmod.RansacParams(
         iterations=cfg.ransac_iterations,
@@ -93,8 +90,7 @@ def _cmd_planes(args):
     return 0
 
 
-def _cmd_mask(args):
-    cfg = _config_from_args(args)
+def _cmd_mask(args, cfg):
     pc = cloudmod.read_ply(args.cloud)
     pair = planesmod.read_plane_pair(args.planes)
     image = pnm.read_ppm(args.image)
@@ -113,12 +109,11 @@ def _cmd_mask(args):
     return 0
 
 
-def _cmd_nodes(args):
+def _cmd_nodes(args, cfg):
     if args.disparity is None and args.planes is None:
         args.usage_error("the following arguments are required: planes")
     if args.disparity is not None and args.planes is not None:
         args.usage_error("planes is not read with --disparity: the node depth comes from the disparity map")
-    cfg = _config_from_args(args)
     boxes = nodes.parse_yolo_labels(read_text(args.labels))
     calib = framesmod.read_calibration_file(args.calibration)
     if args.disparity is not None:
@@ -138,23 +133,24 @@ def _cmd_nodes(args):
     return 0
 
 
-def _cmd_tie(args):
-    cfg = _config_from_args(args)
+def _cmd_tie(args, cfg):
+    robot.check_policy(cfg.tie_policy)
     ties = framesmod.read_tie_points(args.ties)
     host, _, port_text = args.server.partition(":")
     port = _port(port_text, 1, "server must be host:port with a port in 1-65535")
-    client = robot.RobotClient(host, port)
-    try:
-        report = robot.execute_sequence(ties, client, policy=cfg.tie_policy)
-    finally:
-        client.close()
-    _write_report(args.report_out, report)
-    rm = metrics.RunMetrics(
-        tce_percent=metrics.compute_tce(report.successes, report.attempted)
-        if report.attempted
-        else None
-    )
-    metrics.write_metrics(args.metrics_out, rm)
+    # both outputs open before the first MOVE, so a path that cannot be
+    # written costs no tie; a dropped link still writes the ties it made
+    with (
+        robot.RobotClient(host, port) as client,
+        open(args.report_out, "w") as report_file,
+        open(args.metrics_out, "w") as tce_file,
+    ):
+        try:
+            report = robot.execute_sequence(ties, client, policy=cfg.tie_policy)
+        except ConnectionLost as e:
+            _write_tie_outputs(e.report, report_file, tce_file)
+            raise
+        _write_tie_outputs(report, report_file, tce_file)
     print(
         f"tie: {report.successes}/{report.attempted} succeeded "
         f"-> {args.report_out}, {args.metrics_out}"
@@ -174,21 +170,22 @@ def _port(text, lowest, message):
     return port
 
 
-def _write_report(path, report):
-    with open(path, "w") as f:
-        for o in report.outcomes:
-            if o.success:
-                f.write(f"tie {o.sequence_index} ok\n")
-            else:
-                f.write(
-                    f"tie {o.sequence_index} fail {o.stage} {o.code} {o.message}\n"
-                )
-        f.write(f"successes {report.successes}\n")
-        f.write(f"failures {report.failures}\n")
+def _write_tie_outputs(report, report_file, tce_file):
+    """Per-tie outcomes and their totals to report_file; the TCE over the
+    ties attempted to tce_file, which stays empty when none was."""
+    for o in report.outcomes:
+        if o.success:
+            report_file.write(f"tie {o.sequence_index} ok\n")
+        else:
+            report_file.write(f"tie {o.sequence_index} fail {o.stage} {o.code} {o.message}\n")
+    report_file.write(f"successes {report.successes}\n")
+    report_file.write(f"failures {report.failures}\n")
+    if report.attempted:
+        tce = metrics.compute_tce(report.successes, report.attempted)
+        tce_file.write(f"tce_percent={tce!r}\n")
 
 
-def _cmd_sim_robot(args):
-    cfg = _config_from_args(args)
+def _cmd_sim_robot(args, cfg):
     port = _port(args.port, 0, "port must be in 0-65535, 0 for any free port")
     sim = robot.SimRobotConfig(
         workspace_center=(cfg.sim_center_x, cfg.sim_center_y, cfg.sim_center_z),
@@ -202,8 +199,7 @@ def _cmd_sim_robot(args):
     return 0
 
 
-def _cmd_synth(args):
-    cfg = _config_from_args(args)
+def _cmd_synth(args, cfg):
     spec = scene.read_grid_spec(args.scene_spec) if args.scene_spec else scene.GridSpec()
     rig = cfg.rig()
     pc, truth = scene.generate_grid_cloud(spec, rig)
@@ -224,8 +220,7 @@ def _cmd_synth(args):
     return 0
 
 
-def _cmd_eval(args):
-    cfg = _config_from_args(args)
+def _cmd_eval(args, cfg):
     if args.labels:
         pred = nodes.parse_yolo_labels(read_text(args.predicted))
         gt = nodes.parse_yolo_labels(read_text(args.ground_truth))
@@ -330,7 +325,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config_from_args(args))
     except (RebarTieError, OSError) as e:
         print(f"{args.command}: {type(e).__name__}: {e}", file=sys.stderr)
         return 1 if isinstance(e, (*INPUT_ERRORS, OSError)) else 2

@@ -10,7 +10,6 @@ from .errors import BadParameter, NoAttempts, NoMatches
 
 @dataclass
 class RunMetrics:
-    tce_percent: float | None = None
     sai_mm: float | None = None
     matched: int = 0
     unmatched_predictions: int = 0
@@ -24,6 +23,20 @@ def compute_tce(successes, attempts):
     if not 0 <= successes <= attempts:
         raise ValueError("successes must lie in [0, attempts]")
     return 100.0 * successes / attempts
+
+
+def _one_to_one(candidates):
+    """Greedy one-to-one selection from (key, i, j) candidates: the lowest
+    key first, ties broken on the lowest (i, j); a pair whose i or j is
+    already taken is passed over. Returns the (i, j) pairs in that order."""
+    used_i, used_j = set(), set()
+    pairs = []
+    for _, i, j in sorted(candidates):
+        if i not in used_i and j not in used_j:
+            used_i.add(i)
+            used_j.add(j)
+            pairs.append((i, j))
+    return pairs
 
 
 def match_nodes(predicted, actual, cutoff=0.05):
@@ -41,18 +54,7 @@ def match_nodes(predicted, actual, cutoff=0.05):
         return []
     dists = np.linalg.norm(pred[:, None, :] - act[None, :, :], axis=2)
     pi, ai = np.nonzero(dists <= cutoff)
-    order = sorted(range(pi.size), key=lambda k: (dists[pi[k], ai[k]], pi[k], ai[k]))
-    used_p = set()
-    used_a = set()
-    matching = []
-    for k in order:
-        i, j = int(pi[k]), int(ai[k])
-        if i in used_p or j in used_a:
-            continue
-        used_p.add(i)
-        used_a.add(j)
-        matching.append((i, j))
-    return matching
+    return _one_to_one(zip(dists[pi, ai].tolist(), pi.tolist(), ai.tolist()))
 
 
 def compute_sai(matching, predicted, actual):
@@ -99,21 +101,11 @@ def detection_accuracy(predicted_boxes, gt_boxes, iou_threshold=0.5):
             iou = box_iou(p, g)
             if iou >= iou_threshold:
                 candidates.append((-iou, gi, pi))
-    candidates.sort()
-    used_g = set()
-    used_p = set()
-    hits = 0
-    for _, gi, pi in candidates:
-        if gi in used_g or pi in used_p:
-            continue
-        used_g.add(gi)
-        used_p.add(pi)
-        hits += 1
-    return hits / len(gt_boxes)
+    return len(_one_to_one(candidates)) / len(gt_boxes)
 
 
 def node_metrics(predicted, actual, cutoff=0.05):
-    """Match two point sets and fill a RunMetrics record (no TCE)."""
+    """Match two point sets and fill a RunMetrics record."""
     matching = match_nodes(predicted, actual, cutoff)
     pred_count = np.asarray(predicted, dtype=float).reshape(-1, 3).shape[0]
     act_count = np.asarray(actual, dtype=float).reshape(-1, 3).shape[0]
@@ -130,8 +122,6 @@ def node_metrics(predicted, actual, cutoff=0.05):
 def format_metrics(rm):
     """key=value report; absent metrics are omitted."""
     lines = []
-    if rm.tce_percent is not None:
-        lines.append(f"tce_percent={rm.tce_percent!r}")
     if rm.sai_mm is not None:
         lines.append(f"sai_mm={rm.sai_mm!r}")
     lines.append(f"matched={rm.matched}")

@@ -162,6 +162,12 @@ class SequenceReport:
         return self.attempted - self.successes
 
 
+def check_policy(policy):
+    """Raise BadParameter unless policy is one execute_sequence knows."""
+    if policy not in (ABORT_ON_ERROR, SKIP_ON_ERROR):
+        raise BadParameter(f"unknown policy {policy!r}")
+
+
 def execute_sequence(ties, client, policy=ABORT_ON_ERROR):
     """Drive the controller through a tie sequence.
 
@@ -170,29 +176,19 @@ def execute_sequence(ties, client, policy=ABORT_ON_ERROR):
     HOME and QUIT are always sent at the end. A dropped connection raises
     ConnectionLost carrying the partial report.
     """
-    if policy not in (ABORT_ON_ERROR, SKIP_ON_ERROR):
-        raise BadParameter(f"unknown policy {policy!r}")
+    check_policy(policy)
     report = SequenceReport()
     try:
         for tie in ties:
-            x, y, z = tie.position
-            resp = client.send(move(x, y, z))
-            if not resp.ok:
-                report.outcomes.append(
-                    TieOutcome(tie.sequence_index, False, "move", resp.code, resp.message)
-                )
-                if policy == ABORT_ON_ERROR:
+            outcome = TieOutcome(tie.sequence_index, True)
+            for stage, cmd in (("move", move(*tie.position)), ("tie", RobotCommand("TIE"))):
+                resp = client.send(cmd)
+                if not resp.ok:
+                    outcome = TieOutcome(tie.sequence_index, False, stage, resp.code, resp.message)
                     break
-                continue
-            resp = client.send(RobotCommand("TIE"))
-            if not resp.ok:
-                report.outcomes.append(
-                    TieOutcome(tie.sequence_index, False, "tie", resp.code, resp.message)
-                )
-                if policy == ABORT_ON_ERROR:
-                    break
-                continue
-            report.outcomes.append(TieOutcome(tie.sequence_index, True))
+            report.outcomes.append(outcome)
+            if not outcome.success and policy == ABORT_ON_ERROR:
+                break
         client.send(RobotCommand("HOME"))
         client.send(RobotCommand("QUIT"))
     except ConnectionLost as e:
@@ -228,7 +224,6 @@ class SimRobotServer:
         self.stop_on_quit = stop_on_quit
         self.log_path = log_path
         self._log_file = None
-        self._stopped = threading.Event()
         self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         try:
             self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -237,10 +232,6 @@ class SimRobotServer:
         except BaseException:
             self.listener.close()  # a port in use or out of range leaks no socket
             raise
-        # accept with a timeout so stop() is observed promptly; a plain
-        # close() does not wake a blocked accept on Linux. Set here, not in
-        # serve_forever, where stop() may already have closed the listener.
-        self.listener.settimeout(0.1)
         self.port = self.listener.getsockname()[1]
         self.host = host
         self._thread = None
@@ -309,14 +300,11 @@ class SimRobotServer:
         try:
             if self.log_path is not None:
                 self._log_file = open(self.log_path, "a")
-            while not self._stopped.is_set():
+            while True:
                 try:
                     conn, _ = self.listener.accept()
-                except socket.timeout:
-                    continue
                 except OSError:
-                    break  # listener closed by stop()
-                conn.settimeout(None)
+                    break  # listener shut down by stop()
                 self._active_conn = conn
                 quit_seen = self._serve_connection(conn)
                 self._active_conn = None
@@ -335,16 +323,13 @@ class SimRobotServer:
         return self
 
     def stop(self):
-        self._stopped.set()
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        conn = self._active_conn
-        if conn is not None:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        # shutdown wakes a blocked accept(); a plain close() does not on Linux
+        for sock in (self.listener, self._active_conn):
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        self.listener.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

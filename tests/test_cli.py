@@ -461,6 +461,70 @@ class TestErrors:
         assert "Traceback" not in err
         assert not (tmp_path / "r.txt").exists()
 
+    def test_tie_report_path_refused_before_any_move(self, tmp_path, capsys):
+        ties = tmp_path / "ties.txt"
+        ties.write_text("0 0 0 0.1\n")
+        (tmp_path / "f").write_text("a regular file\n")
+        log = tmp_path / "sim.log"
+        server = SimRobotServer(SimRobotConfig(), port=0, log_path=log).start()
+        try:
+            rc = main([
+                "tie", str(ties), f"127.0.0.1:{server.port}",
+                "--report-out", str(tmp_path / "f" / "r.txt"), "--metrics-out", str(tmp_path / "m.txt"),
+            ])
+        finally:
+            server.stop()
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("tie: NotADirectoryError: ")
+        assert "MOVE" not in log.read_text()
+
+    def test_tie_dropped_link_writes_the_ties_made(self, tmp_path, monkeypatch, capsys):
+        ties = tmp_path / "ties.txt"
+        ties.write_text("0 0 0 0.1\n1 5 5 5\n2 0 0 0.2\n3 0 0 0.3\n")
+        server = SimRobotServer(SimRobotConfig(), port=0).start()
+        sent = []
+        send = robot.RobotClient.send
+
+        def send_then_drop(client, cmd):  # the controller goes after 5 commands
+            if len(sent) == 5:
+                server.stop()
+            sent.append(cmd)
+            return send(client, cmd)
+
+        monkeypatch.setattr(robot.RobotClient, "send", send_then_drop)
+        try:
+            rc = main([
+                "tie", str(ties), f"127.0.0.1:{server.port}", "--tie-policy", "skip_on_error",
+                "--report-out", str(tmp_path / "r.txt"), "--metrics-out", str(tmp_path / "tce.txt"),
+            ])
+        finally:
+            server.stop()
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("tie: ConnectionLost: ")
+        assert "Traceback" not in err
+        assert (tmp_path / "r.txt").read_text() == (
+            "tie 0 ok\ntie 1 fail move 2 UNREACHABLE\ntie 2 ok\nsuccesses 2\nfailures 1\n"
+        )
+        assert (tmp_path / "tce.txt").read_text() == f"tce_percent={100.0 * 2 / 3!r}\n"
+
+    def test_tie_with_no_targets_writes_no_tce(self, tmp_path, capsys):
+        ties = tmp_path / "ties.txt"
+        ties.write_text("")
+        server = SimRobotServer(SimRobotConfig(), port=0).start()
+        try:
+            rc = main([
+                "tie", str(ties), f"127.0.0.1:{server.port}",
+                "--report-out", str(tmp_path / "r.txt"), "--metrics-out", str(tmp_path / "tce.txt"),
+            ])
+        finally:
+            server.stop()
+        assert rc == 0
+        assert capsys.readouterr().out.startswith("tie: 0/0 succeeded")
+        assert (tmp_path / "r.txt").read_text() == "successes 0\nfailures 0\n"
+        assert (tmp_path / "tce.txt").read_text() == ""
+
 
 def test_imports_load_no_scipy():
     # SciPy is most of a subcommand's start-up; only SOR imports it, when a

@@ -1,6 +1,10 @@
+import socket
+
 import numpy as np
 import pytest
 
+from rebartie import robot
+from rebartie.cli import main
 from rebartie.errors import NoAttempts, NoMatches
 from rebartie.metrics import (
     RunMetrics,
@@ -55,6 +59,15 @@ class TestMatchNodes:
         matching = match_nodes(pred, actual, cutoff=0.1)
         assert len({i for i, _ in matching}) == len(matching)
         assert len({j for _, j in matching}) == len(matching)
+
+    def test_equal_distances_pair_on_the_lowest_index(self):
+        # every distance below is exactly 0.25 m
+        assert match_nodes([[0.0, 0, 0]], [[0.25, 0, 0], [-0.25, 0, 0]], cutoff=0.5) == [(0, 0)]
+        assert match_nodes([[0.25, 0, 0], [-0.25, 0, 0]], [[0.0, 0, 0]], cutoff=0.5) == [(0, 0)]
+        # lowest (prediction, truth) first: (0, 1) before (1, 0)
+        pred = [[0.25, 0, 0], [4.25, 0, 0]]
+        actual = [[4.0, 0, 0], [0.0, 0, 0]]
+        assert match_nodes(pred, actual, cutoff=0.5) == [(0, 1), (1, 0)]
 
     def test_never_matches_beyond_cutoff(self, rng):
         pred = rng.normal(size=(15, 3))
@@ -135,6 +148,15 @@ class TestDetectionAccuracy:
         preds = [gt[0], gt[0]]
         assert detection_accuracy(preds, gt, 0.5) == pytest.approx(0.5)
 
+    def test_equal_ious_pair_on_the_lowest_index(self):
+        # truth 0 overlaps predictions 0 and 1, truth 1 only prediction 0,
+        # all at an IoU of exactly 0.6: the lowest (truth, prediction) pair
+        # (0, 0) goes first and leaves truth 1 unmatched, where taking
+        # (1, 0) and (0, 1) would match both
+        gt = [DetectionBox(0, 0.5, 0.5, 0.25, 0.25), DetectionBox(0, 0.375, 0.5, 0.25, 0.25)]
+        preds = [DetectionBox(0, 0.4375, 0.5, 0.25, 0.25), DetectionBox(0, 0.5625, 0.5, 0.25, 0.25)]
+        assert detection_accuracy(preds, gt, 0.5) == 0.5
+
 
 class TestMetricsReport:
     def test_format_omits_absent(self):
@@ -153,6 +175,21 @@ class TestMetricsReport:
         assert rm.unmatched_ground_truth == 3
         assert rm.matched + rm.unmatched_predictions == len(pred)
 
-    def test_tce_line_repr(self):
-        rm = RunMetrics(tce_percent=compute_tce(24, 25))
-        assert "tce_percent=96.0" in format_metrics(rm)
+    def test_tce_line_repr(self, tmp_path, monkeypatch, capsys):
+        # tie writes the TCE line itself, and nothing else, into --metrics-out
+        ties = tmp_path / "ties.txt"
+        ties.write_text("0 0 0 0.1\n")
+        report = robot.SequenceReport(
+            [robot.TieOutcome(i, True) for i in range(24)] + [robot.TieOutcome(24, False, "tie", 4)]
+        )
+        monkeypatch.setattr(robot, "execute_sequence", lambda *a, **k: report)
+        with socket.socket() as listener:  # connect() needs only the backlog
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            port = listener.getsockname()[1]
+            assert main([
+                "tie", str(ties), f"127.0.0.1:{port}",
+                "--report-out", str(tmp_path / "r.txt"), "--metrics-out", str(tmp_path / "tce.txt"),
+            ]) == 0
+        capsys.readouterr()
+        assert (tmp_path / "tce.txt").read_text() == "tce_percent=96.0\n"

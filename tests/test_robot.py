@@ -1,5 +1,6 @@
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -142,6 +143,14 @@ class TestSimServerStateMachine:
         assert crashes == []
         assert len(logs) == 200
         assert all(f.closed for f in logs)
+
+    def test_stop_wakes_a_blocked_accept(self):
+        server = start_server()
+        time.sleep(0.2)  # long enough for the thread to block in accept()
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 1.0
+        assert not server._thread.is_alive()
 
     @pytest.mark.parametrize("port", ["in-use", 70000, -1])
     def test_failed_bind_closes_its_socket(self, monkeypatch, port):
