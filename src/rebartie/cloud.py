@@ -1,7 +1,6 @@
 """Point clouds and conditioning: statistical outlier removal, voxel downsampling."""
 
 import functools
-import itertools
 import os
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ import numpy as np
 from .blocks import run_striped
 from .errors import BadParameter, CoordinateOutOfRange, ParseError, TooFewPoints
 from .geometry import check_coordinates, project
-from .textio import parse_float_rows, text_lines
+from .textio import iter_lines, parse_float_rows, read_text
 
 # The header write_ply writes, and the only binary header read_ply takes.
 _PLY_BINARY_HEADER = (
@@ -491,7 +490,7 @@ def _binary_ply_header(f):
 
 def _read_ascii_ply(path):
     """Read an ASCII PLY's x y z rows, each ParseError naming its line."""
-    lines = text_lines(path)
+    lines = iter_lines(read_text(path))
     if next(lines, "").strip() != "ply":
         raise ParseError(1, "missing 'ply' magic")
     count = None
@@ -512,6 +511,4 @@ def _read_ascii_ply(path):
     if count is None or body_start is None:
         last = lineno + sum(1 for _ in lines)  # the error names the file's last line
         raise ParseError(last, "header missing vertex count or end_header")
-
-    body = itertools.islice(lines, count)
-    return PointCloud(parse_float_rows(body, path, body_start + 1, (count, 3), "coordinate"))
+    return PointCloud(parse_float_rows(lines, body_start + 1, (count, 3), "coordinate"))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import BadCalibration, BadParameter, ParseError
 from .geometry import RigidTransform, transform_point
-from .textio import read_text
+from .textio import finite_floats, read_text
 
 _CALIB_TOL = 1e-6
 
@@ -38,38 +38,32 @@ def _nearest_rotation(r):
     return rot
 
 
-def _parse_rows(lines, start, label):
-    rows = []
-    for k in range(3):
-        parts = lines[start + k - 1].split()
-        if len(parts) != 4:
-            raise BadCalibration(
-                f"{label} row {k + 1}: expected 4 values, got {len(parts)}"
-            )
-        try:
-            rows.append([float(v) for v in parts])
-        except ValueError:
-            raise BadCalibration(f"{label} row {k + 1}: non-numeric value") from None
-        if not np.all(np.isfinite(rows[-1])):
-            raise BadCalibration(f"{label} row {k + 1}: non-finite value")
-    m = np.array(rows)
-    return m[:, :3], m[:, 3]
-
-
 def load_calibration(text):
     """Parse a calibration file into a CalibrationSet.
 
-    Format: line 1 "T_base_cam", lines 2-4 the 3x4 [R|t] rows, line 5
-    "bias", lines 6-8 its rows. Rotations within 1e-6 of orthonormal are
+    Format, blank lines aside: "T_base_cam", its three 3x4 [R|t] rows,
+    "bias", its three rows, and nothing after. A malformed line is a
+    ParseError naming it. Rotations within 1e-6 of orthonormal are
     renormalized by polar projection; anything worse is BadCalibration.
     """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 8 or lines[0].split() != ["T_base_cam"]:
-        raise BadCalibration("expected 'T_base_cam' header")
-    if lines[4].split() != ["bias"]:
-        raise BadCalibration("expected 'bias' header on line 5")
-    r1, t1 = _parse_rows(lines, 2, "T_base_cam")
-    r2, t2 = _parse_rows(lines, 6, "bias")
+    lines = text.splitlines()
+    rows = [(lineno, line.split()) for lineno, line in enumerate(lines, start=1) if line.strip()]
+    values = []
+    for k, (lineno, parts) in enumerate(rows[:8]):
+        header = "bias" if k >= 4 else "T_base_cam"
+        if k % 4 == 0:
+            if parts != [header]:
+                raise ParseError(lineno, f"expected '{header}' header")
+        elif len(parts) != 4:
+            raise ParseError(lineno, f"expected 4 values, got {len(parts)}")
+        else:
+            values.append(finite_floats(parts, lineno, f"{header} value"))
+    if len(rows) > 8:
+        raise ParseError(rows[8][0], "unexpected line after the bias rows")
+    if len(rows) < 8:
+        raise ParseError(len(lines), f"expected 8 non-blank lines, got {len(rows)}")
+    m = np.array(values)
+    r1, t1, r2, t2 = m[:3, :3], m[:3, 3], m[3:, :3], m[3:, 3]
     return CalibrationSet(
         t_base_from_camera=RigidTransform(_nearest_rotation(r1), t1, "camera", "base"),
         tool_bias=RigidTransform(_nearest_rotation(r2), t2, "base", "base"),
@@ -164,12 +158,9 @@ def _point_rows(path, field_counts):
             raise ParseError(lineno, f"expected {expected} fields, got {len(parts)}")
         try:
             idx = int(parts[0]) if len(parts) == 4 else None
-            pos = [float(v) for v in parts[-3:]]
         except ValueError:
             raise ParseError(lineno, "non-numeric field") from None
-        if not np.all(np.isfinite(pos)):
-            raise ParseError(lineno, "non-finite coordinate")
-        yield idx, pos
+        yield idx, finite_floats(parts[-3:], lineno, "coordinate")
 
 
 def read_tie_points(path):

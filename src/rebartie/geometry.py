@@ -108,6 +108,9 @@ class CameraModel:
     def __post_init__(self):
         if self.fx <= 0 or self.fy <= 0:
             raise BadParameter("focal lengths must be positive")
+        # below 1 pixel, one pixel's field of view exceeds 53 degrees
+        if self.fx < 1 or self.fy < 1:
+            raise BadParameter("focal lengths must be at least 1 pixel")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise BadParameter("principal point must lie inside the image")
 

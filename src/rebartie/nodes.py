@@ -15,6 +15,7 @@ import numpy as np
 from .errors import NegativeDepth, ParseError, RayParallel, SizeMismatch
 from .geometry import backproject
 from .stereo import disparity_to_depth
+from .textio import finite_floats
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,9 @@ def parse_yolo_labels(text):
             raise ParseError(lineno, f"expected 5 or 6 fields, got {len(parts)}")
         try:
             class_id = int(parts[0])
-            values = [float(v) for v in parts[1:]]
         except ValueError:
             raise ParseError(lineno, "non-numeric field") from None
-        if not np.isfinite(values).all():
-            raise ParseError(lineno, "non-finite field")
+        values = finite_floats(parts[1:], lineno, "field")
         conf = values[4] if len(values) == 5 else None
         try:
             boxes.append(DetectionBox(class_id, *values[:4], conf=conf))

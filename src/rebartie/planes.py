@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import BadParameter, DegenerateInput, LayersTooClose, NoConsensus, ParseError
 from .geometry import Plane, check_coordinates, fit_plane_least_squares, plane_signed_distance
-from .textio import read_text
+from .textio import finite_floats, read_text
 
 # Points per block when a RANSAC candidate is scored; a power of two, so each
 # row sits at the same place within the BLAS kernel's unrolled loop in its
@@ -235,19 +235,30 @@ def write_plane_pair(path, pair):
         f.write("frame camera\n")
 
 
+# The plane file's keys, in write_plane_pair's order, and the values each takes.
+_PLANE_FIELDS = {"normal": 3, "offset_near": 1, "offset_far": 1, "frame": 1}
+
+
 def read_plane_pair(path):
     """Read a plane parameters file: finite values, frame camera.
 
-    Inlier counts are not serialized and come back zeroed.
+    Each key's line holds exactly its values, and any other non-blank line
+    is a ParseError. Inlier counts are not serialized and come back zeroed.
     """
     lines = read_text(path).splitlines()
     fields = {}
-    for i, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(lines, start=1):
         parts = line.split()
         if not parts:
             continue
-        fields[parts[0]] = (i, parts[1:])
-    for key in ("normal", "offset_near", "offset_far", "frame"):
+        key, values = parts[0], parts[1:]
+        if key not in _PLANE_FIELDS or key in fields:
+            raise ParseError(lineno, f"unexpected '{key}' line")
+        n = _PLANE_FIELDS[key]
+        if len(values) != n:
+            raise ParseError(lineno, f"{key} needs {n} value{'s' * (n > 1)}, got {len(values)}")
+        fields[key] = (lineno, values)
+    for key in _PLANE_FIELDS:
         if key not in fields:
             raise ParseError(len(lines), f"missing '{key}' line")
     if fields["frame"][1] != ["camera"]:
@@ -255,15 +266,8 @@ def read_plane_pair(path):
     numbers = {}
     for key in ("normal", "offset_near", "offset_far"):
         lineno, values = fields[key]
-        try:
-            numbers[key] = [float(v) for v in values] if key == "normal" else float(values[0])
-        except (ValueError, IndexError):
-            raise ParseError(lineno, "malformed plane parameters") from None
+        numbers[key] = finite_floats(values, lineno, key)
     normal = np.array(numbers.pop("normal"))
-    if normal.shape != (3,):
-        raise ParseError(fields["normal"][0], "normal must have 3 components")
-    if not np.all(np.isfinite(normal)):
-        raise ParseError(fields["normal"][0], "non-finite normal")
     # divide by the largest component first, so that squaring a huge or tiny
     # normal inside the norm can neither overflow nor underflow
     scale = float(np.abs(normal).max())
@@ -271,7 +275,7 @@ def read_plane_pair(path):
         raise ParseError(fields["normal"][0], "zero normal")
     normal = normal / scale
     norm = float(np.linalg.norm(normal))
-    offsets = {key: value / scale / norm for key, value in numbers.items()}
+    offsets = {key: value / scale / norm for key, (value,) in numbers.items()}
     for key, value in offsets.items():
         if not math.isfinite(value):
             raise ParseError(fields[key][0], f"non-finite {key}")

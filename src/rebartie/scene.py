@@ -26,7 +26,7 @@ from .geometry import (
 )
 from .nodes import DetectionBox
 from .planes import ParallelPlanePair
-from .textio import read_text
+from .textio import finite_floats, read_text
 
 # surface sampling density: at least one point per (2 mm)^2
 _SAMPLE_AREA = 4e-6
@@ -382,12 +382,7 @@ def read_grid_spec(path):
         lineno, parts = pose[0], pose[1].split()
         if len(parts) != 12:
             raise ParseError(lineno, "grid_pose needs 12 numbers")
-        try:
-            m = np.array([float(v) for v in parts]).reshape(3, 4)
-        except ValueError:
-            raise ParseError(lineno, "non-numeric grid_pose") from None
-        if not np.isfinite(m).all():
-            raise ParseError(lineno, "non-finite grid_pose")
+        m = np.array(finite_floats(parts, lineno, "grid_pose")).reshape(3, 4)
         try:
             kwargs["grid_pose"] = RigidTransform(m[:, :3], m[:, 3], "grid", "camera")
         except ValueError as e:

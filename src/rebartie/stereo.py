@@ -5,7 +5,6 @@ Disparity maps are float64 arrays with negative values marking invalid
 pixels (-1 in files).
 """
 
-import itertools
 import os
 import re
 
@@ -15,7 +14,7 @@ from .blocks import run_striped
 from .cloud import PointCloud, six_digits
 from .errors import BadParameter, NonPositiveDisparity, ParseError, SizeMismatch
 from .maxfilter import square_max
-from .textio import parse_float_rows, text_lines
+from .textio import iter_lines, parse_float_rows, read_text
 
 INVALID = -1.0
 
@@ -544,15 +543,15 @@ def read_disparity(path):
     A file as write_disparity writes it is read by _read_written. Any other
     that the format allows, with values in any spelling float() takes, any
     whitespace between them, "\\r\\n" line ends or lines past the last row,
-    goes through textio.parse_float_rows, whose loop names the line of the
-    first fault in a ParseError.
+    goes through textio.parse_float_rows, which names the line of the first
+    fault in a ParseError.
     """
     with open(path, "rb") as f:
         header = _HEADER.fullmatch(f.readline())
         disp = header and _read_written(f, int(header[2]), int(header[1]))
     if disp is not None:
         return disp
-    lines = text_lines(path)
+    lines = iter_lines(read_text(path))
     first = next(lines, None)
     if first is None:
         raise ParseError(1, "empty disparity file")
@@ -565,6 +564,6 @@ def read_disparity(path):
         raise ParseError(1, "non-integer dimensions") from None
     if w < 0 or h < 0:
         raise ParseError(1, f"negative dimensions {w} x {h}")
-    disp = parse_float_rows(itertools.islice(lines, h), path, 2, (h, w), "disparity")
+    disp = parse_float_rows(lines, 2, (h, w), "disparity")
     disp[disp < 0] = INVALID
     return disp

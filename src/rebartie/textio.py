@@ -1,14 +1,22 @@
-"""Text input: every text file the pipeline reads is decoded and split here.
+"""Text input: every text file the pipeline reads is decoded, split into
+lines and its numbers read here.
 
 Text is strict UTF-8, and a byte that is not is a ParseError naming its line.
+A number is what float() reads from a token, and it must be finite.
 """
 
-import io
-import warnings
+import math
+import re
+from array import array
 
 import numpy as np
 
 from .errors import ParseError
+
+# str.splitlines()'s line breaks, less "\r", which read_text has already
+# turned into "\n"; _LINE is a line and the break that ends it.
+_BREAKS = "\n\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"([^{_BREAKS}]*)[{_BREAKS}]?")
 
 
 def read_text(path):
@@ -24,53 +32,50 @@ def read_text(path):
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
-def text_lines(path):
-    """Iterate over a file's lines as ``read_text(path).splitlines()`` lists them.
-
-    ASCII text whose only line break is "\\n", which is every file the
-    pipeline writes, is split lazily from its bytes, each line keeping its
-    "\\n": the list of a 394k-point cloud's lines alone takes about 30 MB.
-    Any other file is decoded and split whole.
-    """
-    with open(path, "rb") as f:
-        data = f.read()
-    if data.isascii() and not any(c in data for c in b"\r\v\f\x1c\x1d\x1e"):
-        return map(bytes.decode, io.BytesIO(data))
-    return iter(read_text(path).splitlines())
+def iter_lines(text):
+    """Yield the lines text.splitlines() lists, for text as read_text returns
+    it, one at a time: a list of a 100k-point cloud's lines takes 3x its file."""
+    pos = 0
+    while pos < len(text):
+        line = _LINE.match(text, pos)
+        yield line[1]
+        pos = line.end()
 
 
-def parse_float_rows(lines, path, first, shape, noun):
-    """The (rows, cols) ``shape`` of floats on ``path``'s lines from line
-    ``first`` on, which ``lines`` iterates over, one row per line.
+def finite_floats(tokens, line, noun):
+    """float() of each token, or a ParseError on ``line``: "non-numeric
+    <noun>" for a token float() rejects, else "non-finite <noun>"."""
+    try:
+        values = [float(t) for t in tokens]
+    except ValueError:
+        raise ParseError(line, f"non-numeric {noun}") from None
+    if not all(map(math.isfinite, values)):
+        raise ParseError(line, f"non-finite {noun}")
+    return values
 
-    numpy's C parser's rows are kept when they have ``shape`` and are all
-    finite. Otherwise a loop parses the file's lines as float() does (the C
-    parser skips blank lines and rejects ``1_0``), and the first fault is a
-    ParseError naming its line; a short file names its last line.
+
+def parse_float_rows(lines, first, shape, noun):
+    """The (rows, cols) ``shape`` of floats on a file's lines from line
+    ``first`` on, one row per line; ``lines`` is an iterator over those
+    lines and the rest of the file.
+
+    A file with too few lines is a ParseError naming its last line; else the
+    first fault in the rows is a ParseError naming its line.
     """
     rows, cols = shape
+    values = array("d")  # grows with the rows read: a header may declare more values than the file has
+    lineno = first - 1
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns when no line holds data; the shape check catches it
-            warnings.simplefilter("ignore", UserWarning)
-            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        pass
-    else:
-        if values.shape == shape and np.isfinite(values).all():
-            return values
-    lines = list(text_lines(path))
-    if len(lines) < first - 1 + rows:
-        raise ParseError(len(lines), f"expected {rows} data rows")
-    values = []  # not np.empty(shape): a header may declare more columns than the file has
-    for lineno in range(first, first + rows):
-        row = lines[lineno - 1].split()
-        if len(row) != cols:
-            raise ParseError(lineno, f"expected {cols} values, got {len(row)}")
-        try:
-            values.append([float(v) for v in row])
-        except ValueError:
-            raise ParseError(lineno, f"non-numeric {noun}") from None
-        if not np.isfinite(values[-1]).all():
-            raise ParseError(lineno, f"non-finite {noun}")
-    return np.array(values).reshape(shape)
+        for lineno, line in zip(range(first, first + rows), lines):
+            row = line.split()
+            if len(row) != cols:
+                raise ParseError(lineno, f"expected {cols} values, got {len(row)}")
+            values.extend(finite_floats(row, lineno, noun))
+    except ParseError:
+        # a file short of rows is that error, whatever fault its rows hold
+        lineno += sum(1 for _ in lines)
+        if lineno >= first - 1 + rows:
+            raise
+    if lineno < first - 1 + rows:
+        raise ParseError(lineno, f"expected {rows} data rows")
+    return np.frombuffer(values).reshape(shape)

@@ -14,8 +14,8 @@ import pytest
 import rebartie
 from rebartie import cli, pnm, robot, scene
 from rebartie.cli import build_parser, main
-from rebartie.cloud import PointCloud, statistical_outlier_removal, voxel_downsample, write_ply
-from rebartie.config import PipelineConfig, load_pipeline_config
+from rebartie.cloud import PointCloud, write_ply
+from rebartie.config import CAMERA_KEYS, RIG_KEYS, PipelineConfig, load_pipeline_config
 from rebartie.errors import INPUT_ERRORS, BadParameter, ParseError
 from rebartie.frames import CalibrationSet, format_calibration, read_tie_points
 from rebartie.geometry import RigidTransform
@@ -364,18 +364,13 @@ class TestErrors:
         assert capsys.readouterr().err == self.BEYOND_BOUND
         assert not out.exists()
 
-    def test_tiny_focal_length_is_the_trees_cloud(self, tmp_path, walkthrough):
-        # x/z reaches 1e302 and the window bound's square overflows; the
-        # bound then proves no point, and the tree settles every one
+    def test_tiny_focal_length_exit_1(self, tmp_path, walkthrough, capsys):
+        # a focal length below 1 pixel gives one pixel a field of view above 53 deg
         disparity = walkthrough["bundle"] / "disparity.txt"
         out = tmp_path / "c.ply"
-        assert main(["cloud", str(disparity), "--out", str(out), "--fx", "1e-300"]) == 0
-        cfg = load_pipeline_config(None, {"fx": "1e-300"})
-        disp = window_disparity_filter(read_disparity(disparity), cfg.window, cfg.delta)
-        pc = PointCloud(disparity_to_cloud(cfg.rig(), disp).points)
-        pc = statistical_outlier_removal(pc, cfg.sor_k, cfg.sor_sigma_mult)
-        write_ply(tmp_path / "want.ply", voxel_downsample(pc, cfg.voxel_size))
-        assert out.read_bytes() == (tmp_path / "want.ply").read_bytes()
+        assert main(["cloud", str(disparity), "--out", str(out), "--fx", "1e-300"]) == 1
+        assert capsys.readouterr().err == "cloud: BadParameter: focal lengths must be at least 1 pixel\n"
+        assert not out.exists()
 
     def test_bad_usage_exit_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -583,6 +578,12 @@ BAD_PARAMETERS = [
     ("iou_threshold", "eval", "1.5", "iou_threshold must be in (0, 1)"),
 ]
 
+# Rules with a second bound, beside the BAD_PARAMETERS row for the same key.
+SECOND_BOUNDS = [
+    ("fx", "nodes", "0.5", "focal lengths must be at least 1 pixel"),
+    ("fy", "nodes", "0.5", "focal lengths must be at least 1 pixel"),
+]
+
 # Keys that take any value of their type.
 NO_RULE = {"sor_sigma_mult", "sim_center_x", "sim_center_y", "sim_center_z", "sim_seed"}
 
@@ -667,6 +668,10 @@ class TestBadParameter:
         assert rc == 1
         assert err == f"{command}: BadParameter: {rule}\n"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, command, value, rule", SECOND_BOUNDS, ids=[r[0] for r in SECOND_BOUNDS])
+    def test_second_bound_exit_1(self, tmp_path, walkthrough, key, command, value, rule, capsys):
+        self.test_out_of_range_flag_exit_1(tmp_path, walkthrough, key, command, value, rule, capsys)
 
     def test_tie_policy_rejected_before_any_command(self, tmp_path, walkthrough, capsys):
         log = tmp_path / "sim.log"
@@ -769,6 +774,19 @@ class TestFlagsMatchReads:
         assert sum(len(v) for v in flags.values()) == 50
         assert len(fields(PipelineConfig)) == 30
 
+    def test_readme_table_lists_the_flags(self):
+        # a row's parenthesised remark names flags that set no config key
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        groups = {"camera flags": CAMERA_KEYS, "rig flags": RIG_KEYS}
+        table = {}
+        for command, cell in re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, re.M):
+            cell = re.sub(r"\(.*?\)", "", cell)
+            table[command] = {flag[2:].replace("-", "_") for flag in re.findall(r"--[a-z-]+", cell)}
+            for group, keys in groups.items():
+                if group in cell:
+                    table[command].update(keys)
+        assert table == _config_flags()
+
 
 PLANES = "normal 0 0 1\noffset_near 1.19\noffset_far 1.21\nframe camera\n"
 PLY_HEADER = (
@@ -783,7 +801,7 @@ BAD_INPUTS = [
     ("nan-offset", "nodes", "planes", PLANES.replace("1.19", "nan"),
      "nodes: ParseError: line 2: non-finite offset_near"),
     ("non-numeric-offset", "nodes", "planes", PLANES.replace("1.19", "abc"),
-     "nodes: ParseError: line 2: malformed plane parameters"),
+     "nodes: ParseError: line 2: non-numeric offset_near"),
     ("nan-normal", "mask", "planes", PLANES.replace("0 0 1", "0 nan 1"),
      "mask: ParseError: line 1: non-finite normal"),
     ("inf-offset", "mask", "planes", PLANES.replace("1.21", "inf"),
@@ -791,9 +809,9 @@ BAD_INPUTS = [
     ("frame-base", "nodes", "planes", PLANES.replace("camera", "base"),
      "nodes: ParseError: line 4: frame must be camera"),
     ("nan-rotation", "nodes", "calib", CALIB.replace("0 1 0 0", "0 nan 0 0", 1),
-     "nodes: BadCalibration: T_base_cam row 2: non-finite value"),
+     "nodes: ParseError: line 3: non-finite T_base_cam value"),
     ("nan-translation", "nodes", "calib", CALIB.replace("0 0 1 0", "0 0 1 nan", 1),
-     "nodes: BadCalibration: T_base_cam row 3: non-finite value"),
+     "nodes: ParseError: line 4: non-finite T_base_cam value"),
     ("nan-tie", "tie", "ties", "0 0 0 1.2\n1 nan 0 1.2\n",
      "tie: ParseError: line 2: non-finite coordinate"),
     ("nan-vertex", "planes", "cloud", PLY_HEADER + "nan nan nan\n0 0 1\n",
@@ -812,6 +830,22 @@ BAD_INPUTS = [
      "tie: ParseError: line 1: expected 4 fields, got 5"),
     ("five-field-prediction", "eval", "ties", "0 0.1 0.2 1.2 7\n",
      "eval: ParseError: line 1: expected 3 or 4 fields, got 5"),
+    ("two-offsets", "nodes", "planes", PLANES.replace("1.19", "1 2"),
+     "nodes: ParseError: line 2: offset_near needs 1 value, got 2"),
+    ("word-after-offset", "nodes", "planes", PLANES.replace("1.21", "2 banana"),
+     "nodes: ParseError: line 3: offset_far needs 1 value, got 2"),
+    ("two-component-normal", "mask", "planes", PLANES.replace("0 0 1", "0 1"),
+     "mask: ParseError: line 1: normal needs 3 values, got 2"),
+    ("two-token-frame", "nodes", "planes", PLANES.replace("camera", "camera base"),
+     "nodes: ParseError: line 4: frame needs 1 value, got 2"),
+    ("junk-plane-line", "nodes", "planes", PLANES + "junk line here\n",
+     "nodes: ParseError: line 5: unexpected 'junk' line"),
+    ("repeated-offset", "mask", "planes", PLANES + "offset_near 1.2\n",
+     "mask: ParseError: line 5: unexpected 'offset_near' line"),
+    ("line-after-bias", "nodes", "calib", CALIB + "\n1 0 0 0\n",
+     "nodes: ParseError: line 10: unexpected line after the bias rows"),
+    ("word-in-bias", "nodes", "calib", CALIB[:-2] + "x\n",
+     "nodes: ParseError: line 8: non-numeric bias value"),
     ("truncated-pgm", "disparity", "left", "P5\n10 10\n255\nabc",
      "disparity: ParseError: line 1: truncated pixel data"),
     ("negative-ppm", "mask", "image", "P6\n-1 -1\n255\n",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rebartie.errors import BadCalibration
+from rebartie.errors import BadCalibration, ParseError
 from rebartie.frames import (
     CalibrationSet,
     apply_tool_bias,
@@ -68,9 +68,9 @@ class TestLoadCalibration:
             load_calibration(text)
 
     def test_malformed_file(self):
-        with pytest.raises(BadCalibration):
+        with pytest.raises(ParseError, match="^line 1: expected 'T_base_cam' header$"):
             load_calibration("not a calibration\n")
-        with pytest.raises(BadCalibration):
+        with pytest.raises(ParseError, match="^line 2: expected 4 values, got 3$"):
             load_calibration("T_base_cam\n1 0 0\n")
 
     def test_format_round_trip(self, rng):
